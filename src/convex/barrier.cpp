@@ -140,37 +140,8 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
     buf.neg_grad *= -1.0;
     double ridge = opt.ridge * diag_scale;
     bool factored = false;
-    // Structure dispatch: a large, mostly-empty Hessian (separable
-    // programs — no dense Gram block to fill it) goes through the banded
-    // sparse Cholesky. The decision is a plain O(n^2) zero count (noise
-    // next to the O(n^3) factorization it avoids); the CSR snapshot is
-    // only materialized on the sparse path, so dense-Hessian programs —
-    // Pro-Temp's Gram-filled ones included — allocate nothing here.
-    bool use_sparse = false;
-    if (opt.sparse_newton && x.size() >= linalg::kSparseBackendMinDimension) {
-      std::size_t nnz = 0;
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        const double* row = buf.hessian.row_data(i);
-        for (std::size_t j = 0; j < x.size(); ++j) {
-          if (row[j] != 0.0) ++nnz;
-        }
-      }
-      use_sparse = linalg::resolve_backend(linalg::MatrixBackend::kAuto,
-                                           x.size(), nnz) ==
-                   linalg::MatrixBackend::kSparse;
-      if (use_sparse) {
-        buf.hessian_sparse = linalg::SparseMatrix::from_dense(buf.hessian);
-      }
-    }
     for (int attempt = 0; attempt < 9; ++attempt, ridge *= 100.0) {
-      if (use_sparse) {
-        if (buf.sparse_factor.refactor(buf.hessian_sparse, ridge)) {
-          buf.sparse_factor.solve_into(buf.neg_grad, buf.direction,
-                                       buf.sparse_scratch);
-          factored = true;
-          break;
-        }
-      } else if (buf.factor.refactor(buf.hessian, ridge)) {
+      if (buf.factor.refactor(buf.hessian, ridge)) {
         buf.factor.solve_into(buf.neg_grad, buf.direction);
         factored = true;
         break;
@@ -354,7 +325,7 @@ Solution solve_barrier(const BarrierProblem& problem, const linalg::Vector& x0,
           duals[idx++] = 1.0 / (t * (-r[i]));
         }
       }
-      result.ineq_duals = std::move(duals);
+      result.duals = std::move(duals);
       result.primal_residual = std::max(0.0, problem.max_violation(x));
       return result;
     }

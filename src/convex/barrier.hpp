@@ -61,19 +61,12 @@ struct BarrierOptions {
   double line_search_alpha = 0.25;  ///< sufficient-decrease fraction
   double line_search_beta = 0.5;    ///< backtracking shrink factor
   double ridge = 1e-12;             ///< Hessian regularization floor
-  /// Route Newton solves through the banded sparse Cholesky when the
-  /// assembled barrier Hessian is large and mostly empty (separable
-  /// objectives/constraints without a dense linear Gram block). Never
-  /// triggers on the Pro-Temp program — its thousands of temperature rows
-  /// fill the Hessian — so the historical dense path is bit-preserved
-  /// there; tests A/B the two paths on genuinely sparse programs.
-  bool sparse_newton = true;
   bool verbose = false;
 };
 
 /// Solves the program from a strictly feasible start. Precondition:
 /// problem.strictly_feasible(x0) — throws std::invalid_argument otherwise.
-/// On success, Solution::ineq_duals holds the barrier estimates of the KKT
+/// On success, Solution::duals holds the barrier estimates of the KKT
 /// multipliers, ordered nonlinear constraints first, then linear rows.
 ///
 /// `workspace` (optional) supplies the centering loop's buffers so repeated

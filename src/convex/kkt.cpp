@@ -6,89 +6,6 @@
 
 namespace protemp::convex {
 
-// -------------------------------------------------- StructuredKktSolver --
-
-bool StructuredKktSolver::factorize(const linalg::SparseMatrix& h,
-                                    const linalg::Matrix* a,
-                                    double base_ridge) {
-  if (h.rows() != h.cols()) {
-    throw std::invalid_argument("StructuredKktSolver: H must be square");
-  }
-  n_ = h.rows();
-  a_ = (a != nullptr && a->rows() > 0) ? a : nullptr;
-  p_ = a_ ? a_->rows() : 0;
-  if (a_ && a_->cols() != n_) {
-    throw std::invalid_argument("StructuredKktSolver: A/H shape mismatch");
-  }
-
-  double ridge = base_ridge;
-  bool factored = false;
-  for (int attempt = 0; attempt < 9; ++attempt, ridge *= 100.0) {
-    if (buf_.h_factor.refactor(h, ridge)) {
-      factored = true;
-      break;
-    }
-  }
-  if (!factored) return false;
-  if (p_ == 0) return true;
-
-  // Schur complement of the equality block: w_i = H^{-1} a_i (one banded
-  // solve per equality row), S = A W^T. S is SPD whenever A has full row
-  // rank; rank-deficient blocks fail its dense factorization, reported as
-  // a factorization failure like the dense path's.
-  buf_.w_rows.resize(p_, n_);
-  buf_.schur.resize(p_, p_);
-  for (std::size_t i = 0; i < p_; ++i) {
-    buf_.row.resize(n_);
-    for (std::size_t j = 0; j < n_; ++j) buf_.row[j] = (*a_)(i, j);
-    buf_.h_factor.solve_into(buf_.row, buf_.t, buf_.scratch);
-    for (std::size_t j = 0; j < n_; ++j) buf_.w_rows(i, j) = buf_.t[j];
-  }
-  for (std::size_t i = 0; i < p_; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < n_; ++k) {
-        acc += (*a_)(i, k) * buf_.w_rows(j, k);
-      }
-      buf_.schur(i, j) = acc;
-      buf_.schur(j, i) = acc;
-    }
-  }
-  return buf_.schur_factor.refactor(buf_.schur, 0.0);
-}
-
-void StructuredKktSolver::solve_into(const linalg::Vector& r1,
-                                     const linalg::Vector& r2,
-                                     linalg::Vector& dx,
-                                     linalg::Vector& dy) const {
-  if (r1.size() != n_) {
-    throw std::invalid_argument("StructuredKktSolver::solve: r1 size");
-  }
-  buf_.h_factor.solve_into(r1, buf_.t, buf_.scratch);
-  if (p_ == 0) {
-    dx = buf_.t;
-    dy.resize(0);
-    return;
-  }
-  if (r2.size() != p_) {
-    throw std::invalid_argument("StructuredKktSolver::solve: r2 size");
-  }
-  // dy = S^{-1} (A t - r2), dx = t - sum_i dy_i w_i.
-  buf_.rhs_y.resize(p_);
-  a_->multiply_add_into(buf_.t, buf_.rhs_y);
-  buf_.rhs_y -= r2;
-  buf_.schur_factor.solve_into(buf_.rhs_y, buf_.dy);
-  dx = buf_.t;
-  for (std::size_t i = 0; i < p_; ++i) {
-    const double di = buf_.dy[i];
-    if (di == 0.0) continue;
-    for (std::size_t j = 0; j < n_; ++j) dx[j] -= di * buf_.w_rows(i, j);
-  }
-  dy = buf_.dy;
-}
-
-// ----------------------------------------------------------- residuals --
-
 double KktResiduals::worst() const noexcept {
   return std::max({stationarity, primal_infeasibility, dual_infeasibility,
                    complementarity});
@@ -123,43 +40,6 @@ KktResiduals check_kkt(const BarrierProblem& problem, const linalg::Vector& x,
           std::max(out.complementarity, std::abs(z[i] * r[i]));
     }
     problem.linear->g.multiply_transposed_add_into(z, stat);
-  }
-  out.stationarity = stat.norm_inf();
-  out.primal_infeasibility = std::max(0.0, out.primal_infeasibility);
-  out.dual_infeasibility = std::max(0.0, out.dual_infeasibility);
-  return out;
-}
-
-KktResiduals check_kkt(const QpProblem& problem, const linalg::Vector& x,
-                       const linalg::Vector& ineq_duals,
-                       const linalg::Vector& eq_duals) {
-  problem.validate();
-  KktResiduals out;
-
-  linalg::Vector stat = problem.q;
-  problem.quadratic_multiply_add(x, stat);
-  if (problem.num_inequalities() > 0) {
-    if (ineq_duals.size() != problem.num_inequalities()) {
-      throw std::invalid_argument("check_kkt: ineq dual size mismatch");
-    }
-    problem.g.multiply_transposed_add_into(ineq_duals, stat);
-    const linalg::Vector r = problem.g * x - problem.h;
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      out.primal_infeasibility = std::max(out.primal_infeasibility, r[i]);
-      out.dual_infeasibility =
-          std::max(out.dual_infeasibility, -ineq_duals[i]);
-      out.complementarity =
-          std::max(out.complementarity, std::abs(ineq_duals[i] * r[i]));
-    }
-  }
-  if (problem.num_equalities() > 0) {
-    if (eq_duals.size() != problem.num_equalities()) {
-      throw std::invalid_argument("check_kkt: eq dual size mismatch");
-    }
-    problem.a.multiply_transposed_add_into(eq_duals, stat);
-    const linalg::Vector r = problem.a * x - problem.b;
-    out.primal_infeasibility =
-        std::max(out.primal_infeasibility, r.norm_inf());
   }
   out.stationarity = stat.norm_inf();
   out.primal_infeasibility = std::max(0.0, out.primal_infeasibility);

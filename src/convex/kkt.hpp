@@ -1,22 +1,7 @@
-// KKT systems: the structure-aware Newton-step solver and the residual
-// oracle.
+// KKT residual oracle for barrier-solved programs.
 //
-// StructuredKktSolver factorizes the saddle systems Newton steps produce,
-//   [ H   A^T ] [dx]   [r1]
-//   [ A    0  ] [dy] = [r2]
-// exploiting a *sparse* SPD Hessian block H: H goes through the banded
-// (RCM-ordered) sparse Cholesky and the (small, dense) equality block A is
-// folded through a p x p Schur complement S = A H^{-1} A^T. This is the
-// O(cores)-aware solve path for n-core problems whose Hessians keep the RC
-// network's sparsity (equality-constrained QPs over node temperatures,
-// separable barriers); the interior-point *normal equations* of the
-// Pro-Temp program stay dense by construction — folding thousands of dense
-// temperature rows through G^T W G fills H completely — which is why the
-// barrier path only switches to this solver when its assembled Hessian is
-// actually sparse (see DESIGN.md "when dense wins").
-//
-// Tests and benches verify solver output by checking the Karush-Kuhn-Tucker
-// conditions directly rather than trusting solver status codes:
+// Tests verify solver output by checking the Karush-Kuhn-Tucker conditions
+// directly rather than trusting solver status codes:
 //   stationarity:       || grad f0 + sum_i lambda_i grad f_i + G^T z ||_inf
 //   primal feasibility: max_i f_i(x), max_j (Gx - h)_j  (<= tol)
 //   dual feasibility:   min_i lambda_i                  (>= -tol)
@@ -24,42 +9,8 @@
 #pragma once
 
 #include "convex/barrier.hpp"
-#include "convex/qp.hpp"
-#include "convex/workspace.hpp"
-#include "linalg/sparse.hpp"
 
 namespace protemp::convex {
-
-/// Workspace-backed solver for [H A^T; A 0] with sparse SPD H (n x n) and
-/// an optional dense equality block A (p x n, p << n). All storage lives in
-/// the caller's SolverWorkspace, so repeated factorize/solve cycles (one
-/// per Newton or IPM iteration) allocate nothing in steady state.
-class StructuredKktSolver {
- public:
-  explicit StructuredKktSolver(SolverWorkspace::StructuredKktBuffers& buffers)
-      : buf_(buffers) {}
-
-  /// Factorizes H + ridge*I (escalating the ridge on failure exactly like
-  /// the dense path) and, when `a` is non-null and non-empty, the Schur
-  /// complement of the equality block. Returns false when no ridge in the
-  /// escalation schedule makes the system factorizable.
-  bool factorize(const linalg::SparseMatrix& h, const linalg::Matrix* a,
-                 double base_ridge);
-
-  /// Solves for (dx, dy); `r2`/`dy` are ignored when there is no equality
-  /// block. factorize() must have succeeded first.
-  void solve_into(const linalg::Vector& r1, const linalg::Vector& r2,
-                  linalg::Vector& dx, linalg::Vector& dy) const;
-
-  std::size_t num_variables() const noexcept { return n_; }
-  std::size_t num_equalities() const noexcept { return p_; }
-
- private:
-  SolverWorkspace::StructuredKktBuffers& buf_;
-  const linalg::Matrix* a_ = nullptr;
-  std::size_t n_ = 0;
-  std::size_t p_ = 0;
-};
 
 struct KktResiduals {
   double stationarity = 0.0;
@@ -72,13 +23,8 @@ struct KktResiduals {
 };
 
 /// Residuals for a barrier-solved program. `duals` must be ordered nonlinear
-/// constraints first, then linear rows (as Solution::ineq_duals is).
+/// constraints first, then linear rows (as Solution::duals is).
 KktResiduals check_kkt(const BarrierProblem& problem, const linalg::Vector& x,
                        const linalg::Vector& duals);
-
-/// Residuals for a QP solution.
-KktResiduals check_kkt(const QpProblem& problem, const linalg::Vector& x,
-                       const linalg::Vector& ineq_duals,
-                       const linalg::Vector& eq_duals);
 
 }  // namespace protemp::convex

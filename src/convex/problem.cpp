@@ -17,9 +17,8 @@ const char* to_string(SolveStatus status) noexcept {
 
 std::string Solution::summary() const {
   return util::format(
-      "status=%s obj=%.6g iters=%zu gap=%.2e res_p=%.2e res_d=%.2e",
-      to_string(status), objective, iterations, gap, primal_residual,
-      dual_residual);
+      "status=%s obj=%.6g iters=%zu gap=%.2e res_p=%.2e", to_string(status),
+      objective, iterations, gap, primal_residual);
 }
 
 }  // namespace protemp::convex

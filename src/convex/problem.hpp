@@ -1,4 +1,4 @@
-// Common result types shared by the convex solvers.
+// Result types of the convex solver.
 #pragma once
 
 #include <cstddef>
@@ -25,12 +25,10 @@ struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   linalg::Vector x;              ///< primal solution
   double objective = 0.0;        ///< objective at x
-  linalg::Vector ineq_duals;     ///< multipliers for inequality constraints
-  linalg::Vector eq_duals;       ///< multipliers for equality constraints
-  std::size_t iterations = 0;    ///< Newton/IPM iterations performed
+  linalg::Vector duals;          ///< inequality multipliers (KKT estimates)
+  std::size_t iterations = 0;    ///< Newton iterations performed
   double gap = 0.0;              ///< final duality gap estimate
   double primal_residual = 0.0;  ///< final max constraint violation
-  double dual_residual = 0.0;    ///< final stationarity residual (inf-norm)
 
   bool ok() const noexcept { return status == SolveStatus::kOptimal; }
   std::string summary() const;

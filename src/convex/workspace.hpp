@@ -1,8 +1,8 @@
 // Reusable solver state threaded through successive solves.
 //
-// Every barrier/QP solve of a given problem shape needs the same set of
-// KKT/Cholesky/iterate buffers; a SolverWorkspace owns them once so the hot
-// loops allocate nothing in steady state. The workspace is also the
+// Every barrier solve of a given problem shape needs the same set of
+// Hessian/Cholesky/iterate buffers; a SolverWorkspace owns them once so the
+// hot loops allocate nothing in steady state. The workspace is also the
 // warm-start memory: callers that solve a *sequence* of neighbouring
 // problems (frequency-table sweep points, MPC simulation steps) record each
 // optimum and seed the next solve from it instead of the analytic-center
@@ -21,7 +21,6 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/vector.hpp"
 
 namespace protemp::convex {
@@ -69,38 +68,8 @@ class SolverWorkspace {
     linalg::Vector inv_slack;   ///< m: 1 / (h - G x)
     linalg::Vector inv_slack2;  ///< m: squared inverse slacks
     linalg::Cholesky factor;    ///< n x n Newton-system factor storage
-    /// Sparse Newton path (large mostly-empty barrier Hessians): the CSR
-    /// snapshot of the Hessian and its banded factor. Unused (empty) when
-    /// every centering step stays dense.
-    linalg::SparseMatrix hessian_sparse;
-    linalg::SparseCholesky sparse_factor;
-    linalg::Vector sparse_scratch;
   };
   BarrierBuffers& barrier() noexcept { return barrier_; }
-
-  /// Buffers of the QP interior-point iteration that persist across solves
-  /// (the per-iteration vectors are plain locals hoisted out of the loop).
-  struct QpBuffers {
-    linalg::Matrix h_mat;     ///< n x n condensed normal-equations matrix
-    linalg::Cholesky factor;  ///< its Cholesky factor storage
-  };
-  QpBuffers& qp() noexcept { return qp_; }
-
-  /// Buffers of the structured (sparse-Hessian) KKT solver in convex/kkt:
-  /// the banded factor of H plus the dense Schur complement machinery of
-  /// the equality block. Sized on first use per problem shape.
-  struct StructuredKktBuffers {
-    linalg::SparseCholesky h_factor;  ///< banded factor of the sparse H
-    linalg::Matrix w_rows;            ///< p x n: rows are H^{-1} a_i
-    linalg::Matrix schur;             ///< p x p: A H^{-1} A^T
-    linalg::Cholesky schur_factor;    ///< its dense factor (p is small)
-    linalg::Vector t;                 ///< n: H^{-1} r1
-    linalg::Vector rhs_y;             ///< p: A t - r2
-    linalg::Vector dy;                ///< p: Schur solve output
-    linalg::Vector row;               ///< n: one A row / solve scratch
-    linalg::Vector scratch;           ///< n: permuted-solve scratch
-  };
-  StructuredKktBuffers& structured_kkt() noexcept { return structured_kkt_; }
 
  private:
   bool warm_start_ = true;
@@ -108,8 +77,6 @@ class SolverWorkspace {
   std::array<bool, kNumSlots> has_hint_ = {};
   Stats stats_;
   BarrierBuffers barrier_;
-  QpBuffers qp_;
-  StructuredKktBuffers structured_kkt_;
 };
 
 }  // namespace protemp::convex

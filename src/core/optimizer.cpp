@@ -197,15 +197,16 @@ ProTempOptimizer::ProTempOptimizer(const arch::Platform& platform,
   const thermal::HorizonAffineMap map = thermal::build_horizon_map(
       model, steps_, monitored, platform_.core_nodes(),
       platform_.background_power_at(0.0));
-  const thermal::HorizonAffineMap map_peak = thermal::build_horizon_map(
-      model, steps_, monitored, platform_.core_nodes(),
-      platform_.background_power());
+  // Only w differs between the two backgrounds (m, s and u do not depend
+  // on the fixed power), so the peak one needs just its background term.
+  const linalg::Vector w_peak = thermal::build_horizon_background(
+      model, steps_, platform_.core_nodes(), platform_.background_power());
 
   const double pmax = platform_.core_pmax();
   const std::size_t nc = num_cores_;
   // d_k[r]: extra temperature at (k, r) per unit of mean core activity.
   const auto activity_coeff = [&](std::size_t k, std::size_t r) {
-    return map_peak.w_at(k, r) - map.w_at(k, r);
+    return w_peak[map.flat_row(k, r)] - map.w_at(k, r);
   };
 
   // Row layout:

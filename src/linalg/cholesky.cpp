@@ -71,29 +71,6 @@ void Cholesky::solve_into(const Vector& b, Vector& x) const {
   }
 }
 
-void Cholesky::rank_one_update(const Vector& v, Vector& scratch) {
-  const std::size_t n = l_.rows();
-  if (v.size() != n) {
-    throw std::invalid_argument("Cholesky::rank_one_update: size mismatch");
-  }
-  scratch.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch[i] = v[i];
-  // Classic hyperbolic-rotation sweep (Golub & Van Loan sec. 6.5.4): after
-  // column k the trailing factor is exact for the updated matrix.
-  for (std::size_t k = 0; k < n; ++k) {
-    const double lkk = l_(k, k);
-    const double wk = scratch[k];
-    const double r = std::sqrt(lkk * lkk + wk * wk);
-    const double c = r / lkk;
-    const double s = wk / lkk;
-    l_(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      l_(i, k) = (l_(i, k) + s * scratch[i]) / c;
-      scratch[i] = c * scratch[i] - s * l_(i, k);
-    }
-  }
-}
-
 Matrix Cholesky::solve(const Matrix& b) const {
   if (b.rows() != l_.rows()) {
     throw std::invalid_argument("Cholesky::solve: dimension mismatch");
@@ -109,106 +86,6 @@ double Cholesky::log_det() const noexcept {
   double acc = 0.0;
   for (std::size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
   return 2.0 * acc;
-}
-
-std::optional<Ldlt> Ldlt::factor(const Matrix& a, double pivot_tol) {
-  if (!a.square()) {
-    throw std::invalid_argument("Ldlt: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  // Work on a permuted copy; `perm` maps factor row -> original row.
-  Matrix work = a;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-
-  Matrix l = Matrix::identity(n);
-  Vector d(n);
-
-  const auto swap_rows_cols = [&](std::size_t p, std::size_t q) {
-    if (p == q) return;
-    for (std::size_t j = 0; j < n; ++j) std::swap(work(p, j), work(q, j));
-    for (std::size_t i = 0; i < n; ++i) std::swap(work(i, p), work(i, q));
-    // Swap the already-computed part of L (columns < current step).
-    for (std::size_t j = 0; j < n; ++j) std::swap(l(p, j), l(q, j));
-    std::swap(perm[p], perm[q]);
-  };
-
-  for (std::size_t j = 0; j < n; ++j) {
-    // Diagonal pivoting: bring the largest remaining |diagonal| to position j.
-    std::size_t best = j;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      if (std::abs(work(i, i)) > std::abs(work(best, best))) best = i;
-    }
-    swap_rows_cols(j, best);
-    // Undo the unwanted column swap inside L's identity part: columns >= j of
-    // L are still identity, the swap above may have moved 1s around. Restore.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = j; k < n; ++k) l(i, k) = (i == k) ? 1.0 : 0.0;
-    }
-
-    const double pivot = work(j, j);
-    if (std::abs(pivot) < pivot_tol || !std::isfinite(pivot)) {
-      return std::nullopt;
-    }
-    d[j] = pivot;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      l(i, j) = work(i, j) / pivot;
-    }
-    // Schur complement update of the trailing block.
-    for (std::size_t i = j + 1; i < n; ++i) {
-      const double lij = l(i, j);
-      if (lij == 0.0) continue;
-      for (std::size_t k = j + 1; k < n; ++k) {
-        work(i, k) -= lij * pivot * l(k, j);
-      }
-    }
-  }
-
-  Ldlt out;
-  out.l_ = std::move(l);
-  out.d_ = std::move(d);
-  out.perm_ = std::move(perm);
-  return out;
-}
-
-Vector Ldlt::solve(const Vector& b) const {
-  const std::size_t n = d_.size();
-  if (b.size() != n) {
-    throw std::invalid_argument("Ldlt::solve: dimension mismatch");
-  }
-  // Apply permutation: solve (P A P^T) z = P b, then x = P^T z.
-  Vector pb(n);
-  for (std::size_t i = 0; i < n; ++i) pb[i] = b[perm_[i]];
-
-  // L y = pb
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = pb[i];
-    const double* li = l_.row_data(i);
-    for (std::size_t k = 0; k < i; ++k) acc -= li[k] * y[k];
-    y[i] = acc;
-  }
-  // D z = y
-  for (std::size_t i = 0; i < n; ++i) y[i] /= d_[i];
-  // L^T w = z
-  Vector w(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * w[k];
-    w[ii] = acc;
-  }
-  // Un-permute.
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) x[perm_[i]] = w[i];
-  return x;
-}
-
-std::size_t Ldlt::negative_pivots() const noexcept {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < d_.size(); ++i) {
-    if (d_[i] < 0.0) ++count;
-  }
-  return count;
 }
 
 }  // namespace protemp::linalg

@@ -1,9 +1,5 @@
-// Cholesky (LL^T) and LDL^T factorizations for symmetric systems.
-//
-// Cholesky serves the interior-point normal equations (symmetric positive
-// definite by construction); LDL^T handles the quasi-definite KKT systems of
-// equality-constrained Newton steps, where the matrix is symmetric but
-// indefinite.
+// Cholesky (LL^T) factorization for symmetric positive definite systems —
+// the barrier solver's Newton systems, SPD by construction.
 #pragma once
 
 #include <optional>
@@ -44,11 +40,6 @@ class Cholesky {
   /// Solves A X = B column-by-column.
   Matrix solve(const Matrix& b) const;
 
-  /// Rank-one update: replaces the factor of A with the factor of
-  /// A + v v^T in place, O(n^2) — against O(n^3) for refactorization.
-  /// `scratch` is overwritten working storage (resized to v's size).
-  void rank_one_update(const Vector& v, Vector& scratch);
-
   /// log(det A) = 2 * sum_i log L_ii (well defined: L_ii > 0).
   double log_det() const noexcept;
 
@@ -57,31 +48,6 @@ class Cholesky {
  private:
   explicit Cholesky(Matrix l) : l_(std::move(l)) {}
   Matrix l_;
-};
-
-/// LDL^T factorization with symmetric diagonal pivoting (Bunch-Kaufman style
-/// 1x1 pivots). Handles symmetric indefinite matrices as long as no 2x2
-/// pivot is required to maintain stability — sufficient for the
-/// quasi-definite KKT matrices produced by our solvers, where diagonal
-/// blocks have a definite sign pattern.
-class Ldlt {
- public:
-  /// Factorizes P A P^T = L D L^T. Returns std::nullopt if a pivot collapses
-  /// below tolerance (matrix numerically singular).
-  static std::optional<Ldlt> factor(const Matrix& a, double pivot_tol = 1e-13);
-
-  /// Solves A x = b.
-  Vector solve(const Vector& b) const;
-
-  /// Number of negative eigenvalues of A (= negative entries of D); used to
-  /// verify the inertia of KKT systems.
-  std::size_t negative_pivots() const noexcept;
-
- private:
-  Ldlt() = default;
-  Matrix l_;
-  Vector d_;
-  std::vector<std::size_t> perm_;
 };
 
 }  // namespace protemp::linalg

@@ -204,44 +204,29 @@ HorizonAffineMap build_horizon_map(const ThermalModel& model,
   if (steps == 0) {
     throw std::invalid_argument("build_horizon_map: steps must be >= 1");
   }
-  if (fixed_power.size() != n) {
-    throw std::invalid_argument("build_horizon_map: fixed_power size mismatch");
-  }
   for (const std::size_t i : monitored) {
     if (i >= n) throw std::out_of_range("build_horizon_map: monitored index");
   }
-  for (const std::size_t i : variables) {
-    if (i >= n) throw std::out_of_range("build_horizon_map: variable index");
-  }
-
-  const linalg::Vector& b = model.b_discrete();
-  const std::size_t nv = variables.size();
-
-  // Fixed-power injection with variable nodes zeroed.
-  linalg::Vector inject = model.c_ambient();
-  {
-    linalg::Vector p_fix = fixed_power;
-    for (const std::size_t i : variables) p_fix[i] = 0.0;
-    for (std::size_t i = 0; i < n; ++i) inject[i] += b[i] * p_fix[i];
-  }
 
   HorizonAffineMap out;
-  out.monitored = monitored;
-  out.variables = variables;
+  out.w = build_horizon_background(model, steps, variables, fixed_power);
+  const linalg::Vector& b = model.b_discrete();
+  const std::size_t nv = variables.size();
+  out.monitored = std::move(monitored);
+  out.variables = std::move(variables);
   out.num_nodes = n;
   const std::size_t blocks = steps + 1;
   out.m.resize(blocks * n, nv);
   out.s.resize(blocks * n, n);
   out.u.resize(blocks * n);
-  out.w.resize(blocks * n);
 
   // Full-state recursions, computed block-to-block in the flat storage:
-  //   P_k = A P_{k-1} + B E,  Z_k = A Z_{k-1},  w_k = A w_{k-1} + inject,
-  // with P_0 = 0, Z_0 = I, w_0 = 0; u_k = Z_k 1. Each step reads block
-  // k-1 and writes block k directly -- the products ARE the stores, so
-  // the build streams exactly one pass over its output (no per-step
-  // temporaries, no extraction copies; those used to dominate the build
-  // once the products went sparse).
+  //   P_k = A P_{k-1} + B E,  Z_k = A Z_{k-1},
+  // with P_0 = 0, Z_0 = I; u_k = Z_k 1 (w_k is build_horizon_background's).
+  // Each step reads block k-1 and writes block k directly -- the products
+  // ARE the stores, so the build streams exactly one pass over its output
+  // (no per-step temporaries, no extraction copies; those used to dominate
+  // the build once the products went sparse).
   //
   // The products are the build's entire cost: O(steps * n^2 * (n + nv))
   // dense. In sparse mode the same recursions run over A's ~O(n) stored
@@ -257,27 +242,22 @@ HorizonAffineMap build_horizon_map(const ThermalModel& model,
   for (std::size_t k = 1; k <= steps; ++k) {
     const double* s_prev = out.s.row_data((k - 1) * n);
     const double* m_prev = out.m.row_data((k - 1) * n);
-    const double* w_prev = out.w.data() + (k - 1) * n;
     double* s_cur = out.s.row_data(k * n);
     double* m_cur = out.m.row_data(k * n);
-    double* w_cur = out.w.data() + k * n;
     if (sparse) {
       const linalg::SparseMatrix& a_sp = model.a_sparse();
       a_sp.multiply_raw(s_prev, n, s_cur);
       a_sp.multiply_raw(m_prev, nv, m_cur);
-      a_sp.multiply_raw(w_prev, 1, w_cur);
     } else {
       const linalg::Matrix& a = model.a_discrete();
       a.multiply_raw(s_prev, n, s_cur);
       a.multiply_raw(m_prev, nv, m_cur);
-      a.multiply_raw(w_prev, 1, w_cur);
     }
     for (std::size_t v = 0; v < nv; ++v) {
-      m_cur[variables[v] * nv + v] += b[variables[v]];
+      m_cur[out.variables[v] * nv + v] += b[out.variables[v]];
     }
     double* u_cur = out.u.data() + k * n;
     for (std::size_t i = 0; i < n; ++i) {
-      w_cur[i] += inject[i];
       const double* s_row = s_cur + i * n;
       double row_sum = 0.0;
       for (std::size_t j = 0; j < n; ++j) row_sum += s_row[j];
@@ -285,6 +265,43 @@ HorizonAffineMap build_horizon_map(const ThermalModel& model,
     }
   }
   return out;
+}
+
+linalg::Vector build_horizon_background(
+    const ThermalModel& model, std::size_t steps,
+    const std::vector<std::size_t>& variables,
+    const linalg::Vector& fixed_power) {
+  const std::size_t n = model.num_nodes();
+  if (fixed_power.size() != n) {
+    throw std::invalid_argument("build_horizon_map: fixed_power size mismatch");
+  }
+  for (const std::size_t i : variables) {
+    if (i >= n) throw std::out_of_range("build_horizon_map: variable index");
+  }
+
+  // Fixed-power injection with variable nodes zeroed.
+  const linalg::Vector& b = model.b_discrete();
+  linalg::Vector inject = model.c_ambient();
+  {
+    linalg::Vector p_fix = fixed_power;
+    for (const std::size_t i : variables) p_fix[i] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) inject[i] += b[i] * p_fix[i];
+  }
+
+  // w_k = A w_{k-1} + inject, w_0 = 0, in full-node blocks.
+  linalg::Vector w((steps + 1) * n);
+  const bool sparse = model.backend() == linalg::MatrixBackend::kSparse;
+  for (std::size_t k = 1; k <= steps; ++k) {
+    const double* w_prev = w.data() + (k - 1) * n;
+    double* w_cur = w.data() + k * n;
+    if (sparse) {
+      model.a_sparse().multiply_raw(w_prev, 1, w_cur);
+    } else {
+      model.a_discrete().multiply_raw(w_prev, 1, w_cur);
+    }
+    for (std::size_t i = 0; i < n; ++i) w_cur[i] += inject[i];
+  }
+  return w;
 }
 
 }  // namespace protemp::thermal

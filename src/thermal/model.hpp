@@ -172,4 +172,12 @@ HorizonAffineMap build_horizon_map(const ThermalModel& model,
                                    std::vector<std::size_t> variables,
                                    const linalg::Vector& fixed_power);
 
+/// The background term alone: exactly build_horizon_map(...).w (same
+/// layout, same bits), without the m/s/u blocks, which do not depend on
+/// `fixed_power`. For callers that need the map under a second background.
+linalg::Vector build_horizon_background(
+    const ThermalModel& model, std::size_t steps,
+    const std::vector<std::size_t>& variables,
+    const linalg::Vector& fixed_power);
+
 }  // namespace protemp::thermal

@@ -1,8 +1,9 @@
-// Tests for the convex solver stack: QP interior point, log-barrier solver,
-// phase-I feasibility, and KKT verification. Every optimum is checked
-// against analytic solutions or KKT residuals, not solver status alone.
+// Tests for the convex solver stack: log-barrier solver, phase-I
+// feasibility, and KKT verification. Every optimum is checked against
+// analytic solutions or KKT residuals, not solver status alone.
 #include <cmath>
 #include <memory>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,6 @@
 #include "convex/functions.hpp"
 #include "convex/kkt.hpp"
 #include "convex/problem.hpp"
-#include "convex/qp.hpp"
 #include "util/rng.hpp"
 
 namespace protemp::convex {
@@ -19,133 +19,14 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
-// ---------------------------------------------------------------------- QP --
-
-TEST(Qp, UnconstrainedQuadratic) {
-  // min (x1-1)^2 + (x2+2)^2  ->  x = (1, -2).
-  QpProblem qp;
-  qp.p = Matrix{{2.0, 0.0}, {0.0, 2.0}};
-  qp.q = Vector{-2.0, 4.0};
-  const Solution sol = solve_qp(qp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.x[0], 1.0, 1e-8);
-  EXPECT_NEAR(sol.x[1], -2.0, 1e-8);
-}
-
-TEST(Qp, EqualityConstrainedAnalytic) {
-  // min x1^2 + x2^2 s.t. x1 + x2 = 2  ->  x = (1, 1).
-  QpProblem qp;
-  qp.p = Matrix{{2.0, 0.0}, {0.0, 2.0}};
-  qp.q = Vector(2);
-  qp.a = Matrix{{1.0, 1.0}};
-  qp.b = Vector{2.0};
-  const Solution sol = solve_qp(qp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.x[0], 1.0, 1e-8);
-  EXPECT_NEAR(sol.x[1], 1.0, 1e-8);
-}
-
-TEST(Qp, BoxConstrainedActiveBound) {
-  // min (x-3)^2 s.t. x <= 1  ->  x = 1, dual = 4... (gradient 2(x-3) + z = 0).
-  QpProblem qp;
-  qp.p = Matrix{{2.0}};
-  qp.q = Vector{-6.0};
-  qp.g = Matrix{{1.0}};
-  qp.h = Vector{1.0};
-  const Solution sol = solve_qp(qp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.x[0], 1.0, 1e-7);
-  EXPECT_NEAR(sol.ineq_duals[0], 4.0, 1e-6);
-  const KktResiduals kkt = check_kkt(qp, sol.x, sol.ineq_duals, sol.eq_duals);
-  EXPECT_LT(kkt.worst(), 1e-6);
-}
-
-TEST(Qp, InactiveConstraintIgnored) {
-  // min (x-3)^2 s.t. x <= 10  ->  interior optimum x = 3.
-  QpProblem qp;
-  qp.p = Matrix{{2.0}};
-  qp.q = Vector{-6.0};
-  qp.g = Matrix{{1.0}};
-  qp.h = Vector{10.0};
-  const Solution sol = solve_qp(qp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.x[0], 3.0, 1e-7);
-  EXPECT_NEAR(sol.ineq_duals[0], 0.0, 1e-6);
-}
-
-TEST(Qp, LinearProgramVertexSolution) {
-  // min -x1 - 2 x2 s.t. x1 + x2 <= 4, x1 <= 2, x >= 0.
-  // Optimum at the vertex (2, 2)?  -x1-2x2: prefer x2; x2 <= 4 - x1; best
-  // x1 = 0, x2 = 4 -> objective -8.
-  QpProblem qp;
-  qp.q = Vector{-1.0, -2.0};
-  qp.g = Matrix{{1.0, 1.0}, {1.0, 0.0}, {-1.0, 0.0}, {0.0, -1.0}};
-  qp.h = Vector{4.0, 2.0, 0.0, 0.0};
-  const Solution sol = solve_qp(qp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.x[0], 0.0, 1e-6);
-  EXPECT_NEAR(sol.x[1], 4.0, 1e-6);
-  EXPECT_NEAR(sol.objective, -8.0, 1e-6);
-}
-
-TEST(Qp, DegenerateLpStillSolves) {
-  // Redundant constraints at the optimum.
-  QpProblem qp;
-  qp.q = Vector{1.0};
-  qp.g = Matrix{{-1.0}, {-1.0}, {-1.0}};
-  qp.h = Vector{0.0, 0.0, 0.0};
-  const Solution sol = solve_qp(qp);
-  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(sol.x[0], 0.0, 1e-6);
-}
-
-TEST(Qp, ValidatesShapes) {
-  QpProblem qp;
-  qp.q = Vector{1.0, 2.0};
-  qp.g = Matrix{{1.0}};  // wrong column count
-  qp.h = Vector{1.0};
-  EXPECT_THROW(solve_qp(qp), std::invalid_argument);
-  QpProblem empty;
-  EXPECT_THROW(solve_qp(empty), std::invalid_argument);
-}
-
-TEST(Qp, RandomProblemsSatisfyKkt) {
-  util::Rng rng(314);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 2 + rng.uniform_index(5);
-    const std::size_t m = 2 + rng.uniform_index(8);
-    // Random PD P, random G; h chosen so x = 0 is strictly feasible.
-    Matrix root(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) root(i, j) = rng.normal();
-    }
-    QpProblem qp;
-    qp.p = root.transposed() * root;
-    for (std::size_t i = 0; i < n; ++i) qp.p(i, i) += 0.5;
-    qp.q = Vector(n);
-    for (auto& v : qp.q) v = rng.normal();
-    qp.g = Matrix(m, n);
-    qp.h = Vector(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) qp.g(i, j) = rng.normal();
-      qp.h[i] = rng.uniform(0.5, 2.0);
-    }
-    const Solution sol = solve_qp(qp);
-    ASSERT_EQ(sol.status, SolveStatus::kOptimal) << "trial " << trial;
-    const KktResiduals kkt =
-        check_kkt(qp, sol.x, sol.ineq_duals, sol.eq_duals);
-    EXPECT_LT(kkt.worst(), 1e-5) << "trial " << trial;
-  }
-}
-
 // ------------------------------------------------------------------ barrier --
 
 std::shared_ptr<AffineFunction> affine(Vector c, double d) {
   return std::make_shared<AffineFunction>(std::move(c), d);
 }
 
-TEST(Barrier, MatchesQpOnBoxProblem) {
-  // min (x-3)^2 s.t. x <= 1 via both solvers.
+TEST(Barrier, BoxConstrainedActiveBound) {
+  // min (x-3)^2 s.t. x <= 1  ->  x = 1, dual = 4 (2(x-3) + z = 0).
   BarrierProblem problem;
   problem.objective = std::make_shared<QuadraticFunction>(
       Matrix{{2.0}}, Vector{-6.0}, 0.0);
@@ -153,7 +34,8 @@ TEST(Barrier, MatchesQpOnBoxProblem) {
   const Solution sol = solve_barrier(problem, Vector{0.0});
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.x[0], 1.0, 1e-5);
-  const KktResiduals kkt = check_kkt(problem, sol.x, sol.ineq_duals);
+  EXPECT_NEAR(sol.duals[0], 4.0, 1e-6);
+  const KktResiduals kkt = check_kkt(problem, sol.x, sol.duals);
   EXPECT_LT(kkt.worst(), 1e-4);
 }
 
@@ -200,7 +82,7 @@ TEST(Barrier, NonlinearDiskConstraint) {
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.x[0], 1.0, 1e-4);
   EXPECT_NEAR(sol.x[1], 1.0, 1e-4);
-  const KktResiduals kkt = check_kkt(problem, sol.x, sol.ineq_duals);
+  const KktResiduals kkt = check_kkt(problem, sol.x, sol.duals);
   EXPECT_LT(kkt.worst(), 1e-3);
 }
 
@@ -313,6 +195,33 @@ TEST(Barrier, UnconstrainedNewton) {
   EXPECT_NEAR(sol.x[1], 2.0, 1e-8);
 }
 
+TEST(Barrier, SeparableBoxProgramHitsFloor) {
+  // minimize sum_i c_i x_i over -0.25 <= x_i <= 1 with every c_i > 0: a
+  // 40-variable program whose barrier Hessian is diagonal. Every component
+  // must land on the floor.
+  const std::size_t n = 40;
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> cost(0.5, 2.0);
+  BarrierProblem problem;
+  Vector c(n);
+  for (std::size_t i = 0; i < n; ++i) c[i] = cost(rng);
+  problem.objective = affine(std::move(c), 0.0);
+  Matrix g(2 * n, n);
+  Vector h(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g(i, i) = 1.0;
+    h[i] = 1.0;  // x <= 1
+    g(n + i, i) = -1.0;
+    h[n + i] = 0.25;  // x >= -0.25
+  }
+  problem.linear = LinearConstraints{std::move(g), std::move(h)};
+  const Solution sol = solve_barrier(problem, Vector(n, 0.0));
+  ASSERT_TRUE(sol.ok());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(sol.x[i], -0.25, 1e-6) << "component " << i;
+  }
+}
+
 TEST(Barrier, ProblemValidation) {
   BarrierProblem problem;
   EXPECT_THROW(problem.validate(), std::invalid_argument);
@@ -366,29 +275,30 @@ TEST(PhaseI, NonlinearConstraints) {
 // -------------------------------------------------------------------- KKT --
 
 TEST(Kkt, FlagsPrimalyInfeasiblePoint) {
-  QpProblem qp;
-  qp.p = Matrix{{2.0}};
-  qp.q = Vector{0.0};
-  qp.g = Matrix{{1.0}};
-  qp.h = Vector{1.0};
-  const KktResiduals kkt = check_kkt(qp, Vector{2.0}, Vector{0.0}, Vector{});
+  // min x^2 s.t. x <= 1, evaluated at x = 2 (outside the feasible set).
+  BarrierProblem problem;
+  problem.objective =
+      std::make_shared<QuadraticFunction>(Matrix{{2.0}}, Vector{0.0}, 0.0);
+  problem.linear = LinearConstraints{Matrix{{1.0}}, Vector{1.0}};
+  const KktResiduals kkt = check_kkt(problem, Vector{2.0}, Vector{0.0});
   EXPECT_GT(kkt.primal_infeasibility, 0.9);
   EXPECT_FALSE(kkt.within(1e-6));
 }
 
 TEST(Kkt, FlagsNonStationaryPoint) {
-  QpProblem qp;
-  qp.p = Matrix{{2.0}};
-  qp.q = Vector{-6.0};
-  const KktResiduals kkt = check_kkt(qp, Vector{0.0}, Vector{}, Vector{});
+  // Unconstrained min (x-3)^2 evaluated at x = 0: gradient -6.
+  BarrierProblem problem;
+  problem.objective =
+      std::make_shared<QuadraticFunction>(Matrix{{2.0}}, Vector{-6.0}, 0.0);
+  const KktResiduals kkt = check_kkt(problem, Vector{0.0}, Vector{});
   EXPECT_GT(kkt.stationarity, 5.0);
 }
 
-// ------------------------------------------------------ consistency sweep --
+// ------------------------------------------------------ random QP sweep --
 
-class SolverAgreement : public ::testing::TestWithParam<std::uint64_t> {};
+class RandomQpKkt : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SolverAgreement, BarrierAndQpAgreeOnRandomQp) {
+TEST_P(RandomQpKkt, BarrierOptimumSatisfiesKkt) {
   util::Rng rng(GetParam());
   const std::size_t n = 2 + rng.uniform_index(4);
   const std::size_t m = n + 2;
@@ -407,21 +317,15 @@ TEST_P(SolverAgreement, BarrierAndQpAgreeOnRandomQp) {
     h[i] = rng.uniform(0.5, 2.0);  // x = 0 strictly feasible
   }
 
-  QpProblem qp{p, q, g, h, {}, {}};
-  const Solution ipm = solve_qp(qp);
-  ASSERT_EQ(ipm.status, SolveStatus::kOptimal);
-
   BarrierProblem barrier;
   barrier.objective = std::make_shared<QuadraticFunction>(p, q, 0.0);
   barrier.linear = LinearConstraints{g, h};
-  const Solution log_barrier = solve_barrier(barrier, Vector(n));
-  ASSERT_EQ(log_barrier.status, SolveStatus::kOptimal);
-
-  EXPECT_NEAR(ipm.objective, log_barrier.objective,
-              1e-4 * (1.0 + std::abs(ipm.objective)));
+  const Solution sol = solve_barrier(barrier, Vector(n));
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_LT(check_kkt(barrier, sol.x, sol.duals).worst(), 1e-6);
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, SolverAgreement,
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, RandomQpKkt,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "linalg/expm.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 #include "linalg/vector.hpp"
 #include "util/rng.hpp"
 
@@ -197,32 +196,6 @@ TEST(Cholesky, LogDet) {
   EXPECT_NEAR(chol->log_det(), std::log(36.0), 1e-12);
 }
 
-TEST(Ldlt, SolvesIndefiniteKktSystem) {
-  // Quasi-definite KKT-style matrix: [[H, A^T], [A, -eps I]].
-  const Matrix kkt{{2.0, 0.0, 1.0},
-                   {0.0, 2.0, 1.0},
-                   {1.0, 1.0, -1e-9}};
-  const auto ldlt = Ldlt::factor(kkt);
-  ASSERT_TRUE(ldlt.has_value());
-  const Vector b{1.0, 2.0, 3.0};
-  const Vector x = ldlt->solve(b);
-  EXPECT_LT((kkt * x - b).norm_inf(), 1e-7);
-  EXPECT_EQ(ldlt->negative_pivots(), 1u);
-}
-
-TEST(Ldlt, RandomSymmetricSystems) {
-  util::Rng rng(33);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 3 + rng.uniform_index(6);
-    Matrix a = random_matrix(n, n, rng);
-    a = a + a.transposed();  // symmetric, generally indefinite
-    const Vector b = random_vector(n, rng);
-    const auto ldlt = Ldlt::factor(a);
-    ASSERT_TRUE(ldlt.has_value()) << "trial " << trial;
-    EXPECT_LT((a * ldlt->solve(b) - b).norm_inf(), 1e-8) << "trial " << trial;
-  }
-}
-
 // -------------------------------------------------------------------- LU --
 
 TEST(Lu, SolveAndDeterminant) {
@@ -260,41 +233,6 @@ TEST(Lu, RandomSystemsResidual) {
     const Vector b = random_vector(n, rng);
     EXPECT_LT((a * lu->solve(b) - b).norm_inf(), 1e-8);
   }
-}
-
-// -------------------------------------------------------------------- QR --
-
-TEST(Qr, ExactSolveSquare) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const auto x = Qr::factor(a).solve(Vector{5.0, 11.0});
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-10);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-10);
-}
-
-TEST(Qr, LeastSquaresMatchesNormalEquations) {
-  util::Rng rng(99);
-  const Matrix a = random_matrix(12, 4, rng);
-  const Vector b = random_vector(12, rng);
-  const Vector x = least_squares(a, b);
-  // Normal equations solution for comparison.
-  const Matrix ata = a.transposed() * a;
-  const Vector atb = a.multiply_transposed(b);
-  const Vector x_ne = solve_linear(ata, atb);
-  EXPECT_TRUE(x.approx_equal(x_ne, 1e-8));
-}
-
-TEST(Qr, DetectsRankDeficiency) {
-  Matrix a(4, 2);
-  for (std::size_t i = 0; i < 4; ++i) {
-    a(i, 0) = static_cast<double>(i);
-    a(i, 1) = 2.0 * static_cast<double>(i);  // second column dependent
-  }
-  EXPECT_FALSE(Qr::factor(a).solve(Vector(4, 1.0)).has_value());
-}
-
-TEST(Qr, RequiresTallMatrix) {
-  EXPECT_THROW(Qr::factor(Matrix(2, 3)), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ expm --

@@ -1,18 +1,15 @@
 // Dense-vs-sparse backend parity: randomized property tests over the
-// structures the sparse backend exists for — mesh RC networks and
-// RC-structured QPs — asserting factorization/solve/transient-step
-// agreement within 1e-10 (steps and horizon coefficients agree *bitwise*
-// by construction; only factorization-based solves differ at all), plus
-// unit coverage of the CSR kernels, the RCM-banded Cholesky, and the
-// structured KKT solver.
+// structure the sparse backend exists for — mesh RC networks — asserting
+// factorization/solve/transient-step agreement within 1e-10 (steps and
+// horizon coefficients agree *bitwise* by construction; only
+// factorization-based solves differ at all), plus unit coverage of the CSR
+// kernels and the RCM-banded Cholesky.
 #include <cmath>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "arch/mesh.hpp"
-#include "convex/kkt.hpp"
-#include "convex/qp.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse.hpp"
 #include "thermal/model.hpp"
@@ -360,134 +357,6 @@ TEST(ThermalBackendParity, AutoSelectsDenseForNiagaraSparseForBigMesh) {
   const thermal::ThermalModel tiny_model(tiny.network(), 0.4e-3);
   EXPECT_EQ(tiny_model.backend(), MatrixBackend::kDense);
   EXPECT_THROW(tiny_model.a_sparse(), std::logic_error);
-}
-
-// ----------------------------------------------------- QP / KKT parity --
-
-TEST(StructuredKkt, EqualityQpMatchesDensePath) {
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> value(-1.0, 1.0);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t rows = 3 + static_cast<std::size_t>(rng() % 5);
-    const std::size_t cols = 3 + static_cast<std::size_t>(rng() % 5);
-    const SparseMatrix p = random_mesh_laplacian(rng, rows, cols);
-    const std::size_t n = p.rows();
-    const std::size_t eq = 1 + static_cast<std::size_t>(rng() % 3);
-
-    convex::QpProblem dense_qp;
-    dense_qp.p = p.to_dense();
-    dense_qp.q = Vector(n);
-    for (std::size_t i = 0; i < n; ++i) dense_qp.q[i] = value(rng);
-    dense_qp.a = Matrix(eq, n);
-    dense_qp.b = Vector(eq);
-    for (std::size_t i = 0; i < eq; ++i) {
-      dense_qp.b[i] = value(rng);
-      for (std::size_t j = 0; j < n; ++j) dense_qp.a(i, j) = value(rng);
-    }
-
-    convex::QpProblem sparse_qp = dense_qp;
-    sparse_qp.p = Matrix();
-    sparse_qp.p_sparse = p;
-
-    const convex::Solution dense_sol = convex::solve_qp(dense_qp);
-    const convex::Solution sparse_sol = convex::solve_qp(sparse_qp);
-    ASSERT_TRUE(dense_sol.ok());
-    ASSERT_TRUE(sparse_sol.ok());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(sparse_sol.x[i], dense_sol.x[i],
-                  1e-10 * std::max(1.0, std::abs(dense_sol.x[i])));
-    }
-    // KKT residuals certify the sparse path independently of the dense one.
-    const convex::KktResiduals kkt = convex::check_kkt(
-        sparse_qp, sparse_sol.x, sparse_sol.ineq_duals, sparse_sol.eq_duals);
-    EXPECT_LE(kkt.worst(), 1e-8);
-  }
-}
-
-TEST(StructuredKkt, InequalityQpWithSparseQuadraticTerm) {
-  // With inequalities the IPM runs on dense normal equations; the sparse
-  // quadratic term must still produce the same optimum.
-  std::mt19937_64 rng(123);
-  const SparseMatrix p = random_mesh_laplacian(rng, 3, 4);
-  const std::size_t n = p.rows();
-
-  convex::QpProblem dense_qp;
-  dense_qp.p = p.to_dense();
-  dense_qp.q = Vector(n, -1.0);
-  dense_qp.g = Matrix(n, n);
-  dense_qp.h = Vector(n, 0.8);
-  for (std::size_t i = 0; i < n; ++i) dense_qp.g(i, i) = 1.0;  // x <= 0.8
-
-  convex::QpProblem sparse_qp = dense_qp;
-  sparse_qp.p = Matrix();
-  sparse_qp.p_sparse = p;
-
-  const convex::Solution dense_sol = convex::solve_qp(dense_qp);
-  const convex::Solution sparse_sol = convex::solve_qp(sparse_qp);
-  ASSERT_TRUE(dense_sol.ok());
-  ASSERT_TRUE(sparse_sol.ok());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(sparse_sol.x[i], dense_sol.x[i], 1e-7);
-  }
-}
-
-TEST(StructuredKkt, SolverValidatesShapes) {
-  convex::QpProblem qp;
-  qp.q = Vector(3);
-  SparseBuilder builder(2, 2);
-  builder.add(0, 0, 1.0);
-  builder.add(1, 1, 1.0);
-  qp.p_sparse = builder.build();  // 2x2 vs 3 vars
-  EXPECT_THROW(qp.validate(), std::invalid_argument);
-
-  convex::QpProblem both;
-  both.q = Vector(2);
-  both.p = Matrix::identity(2);
-  both.p_sparse = builder.build();
-  EXPECT_THROW(both.validate(), std::invalid_argument);
-}
-
-TEST(BarrierSparseNewton, SeparableProgramMatchesDenseNewton) {
-  // A separable barrier program large enough to cross the sparse-Newton
-  // threshold: minimize sum_i c_i x_i subject to box constraints, whose
-  // barrier Hessian is diagonal. The sparse and dense Newton paths must
-  // land on the same optimum.
-  const std::size_t n = 40;
-  std::mt19937_64 rng(17);
-  std::uniform_real_distribution<double> cost(0.5, 2.0);
-  convex::BarrierProblem problem;
-  Vector c(n);
-  for (std::size_t i = 0; i < n; ++i) c[i] = cost(rng);
-  problem.objective = std::make_shared<convex::AffineFunction>(c, 0.0);
-  Matrix g(2 * n, n);
-  Vector h(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    g(i, i) = 1.0;
-    h[i] = 1.0;  // x <= 1
-    g(n + i, i) = -1.0;
-    h[n + i] = 0.25;  // x >= -0.25
-  }
-  problem.linear = convex::LinearConstraints{std::move(g), std::move(h)};
-
-  // NOTE: the box rows form a dense-free Gram only because each row has
-  // one nonzero; the assembled Hessian is diagonal, so the auto dispatch
-  // picks the banded path.
-  convex::BarrierOptions sparse_opts;
-  sparse_opts.sparse_newton = true;
-  convex::BarrierOptions dense_opts;
-  dense_opts.sparse_newton = false;
-
-  const Vector x0(n, 0.0);
-  const convex::Solution sparse_sol =
-      convex::solve_barrier(problem, x0, sparse_opts);
-  const convex::Solution dense_sol =
-      convex::solve_barrier(problem, x0, dense_opts);
-  ASSERT_TRUE(sparse_sol.ok());
-  ASSERT_TRUE(dense_sol.ok());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(sparse_sol.x[i], dense_sol.x[i], 1e-10);
-    EXPECT_NEAR(sparse_sol.x[i], -0.25, 1e-6);  // cost > 0 pushes to floor
-  }
 }
 
 }  // namespace
