@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -104,13 +105,21 @@ BarrierEval evaluate(const BarrierProblem& prob, const linalg::Vector& x,
   return out;
 }
 
-/// One centering stage (damped Newton at fixed t). Returns the Newton
-/// decrement reached; updates x in place.
+/// One centering stage (damped Newton at fixed t); updates x in place.
+/// A stage that returns ok stopped for one of three reasons: the Newton
+/// decrement reached newton_tolerance, the iterate reached its
+/// floating-point fixed point, or the stage ran max_newton_per_stage steps.
 struct CenterResult {
   bool ok = false;
   bool budget_expired = false;  ///< stopped by the fixed solve budget
+  bool fixed_point = false;     ///< an accepted step left x bitwise unchanged
+  bool capped = false;          ///< ran all max_newton_per_stage steps
   std::size_t newton_steps = 0;
 };
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
                     const BarrierOptions& opt,
@@ -169,6 +178,15 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
           evaluate(prob, buf.candidate, t, /*with_derivatives=*/false, buf);
       if (trial.feasible &&
           trial.value <= eval.value + opt.line_search_alpha * step_size * slope) {
+        if (same_bits(buf.candidate, x)) {
+          // Floating-point fixed point. Evaluation, factorization and line
+          // search are deterministic in (x, t), so every further step of
+          // this stage would repeat this one bit for bit and end here
+          // again: stopping now returns exactly the iterate the cap would.
+          result.ok = true;
+          result.fixed_point = true;
+          return result;
+        }
         x = buf.candidate;
         moved = true;
         break;
@@ -181,8 +199,9 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
       return result;
     }
   }
-  // Budget exhausted; treat as centered enough to continue outer loop.
+  // Stage cap reached; treat as centered enough to continue outer loop.
   result.ok = true;
+  result.capped = true;
   return result;
 }
 
@@ -266,7 +285,11 @@ Solution solve_barrier(const BarrierProblem& problem, const linalg::Vector& x0,
   for (std::size_t stage = 0; stage < options.max_stages; ++stage) {
     const CenterResult centered = center(problem, x, t, options, buf, budget);
     total_newton += centered.newton_steps;
-    ws.stats().newton_steps += centered.newton_steps;
+    SolverWorkspace::Stats& stats = ws.stats();
+    stats.newton_steps += centered.newton_steps;
+    ++stats.stages;
+    if (centered.capped) ++stats.stages_capped;
+    if (centered.fixed_point) ++stats.stages_fixed_point;
     if (centered.budget_expired) {
       // Fixed budget ran out mid-solve: serve the incumbent. The reported
       // gap is the bound certified by the last completed stage; before any

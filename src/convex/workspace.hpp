@@ -51,6 +51,13 @@ class SolverWorkspace {
     std::size_t warm_rejected = 0;  ///< hint present but not strictly feasible
     std::size_t newton_steps = 0;   ///< cumulative Newton iterations
     std::size_t budget_expired = 0; ///< solves cut short by the fixed budget
+    std::size_t stages = 0;         ///< centering stages run
+    /// Stages that ran max_newton_per_stage steps without reaching
+    /// newton_tolerance (served as centered; see DESIGN.md §5b).
+    std::size_t stages_capped = 0;
+    /// Stages ended because an accepted step left the iterate bitwise
+    /// unchanged (the floating-point fixed point of the stage).
+    std::size_t stages_fixed_point = 0;
   };
   Stats& stats() noexcept { return stats_; }
   const Stats& stats() const noexcept { return stats_; }

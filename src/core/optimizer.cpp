@@ -467,16 +467,9 @@ FrequencyAssignment ProTempOptimizer::solve_from_state(
   return solve_with_rhs(rhs_for_state(node_temps), ftarget_hz, workspace);
 }
 
-FrequencyAssignment ProTempOptimizer::solve_with_rhs(
-    linalg::Vector rhs, double ftarget_hz,
-    convex::SolverWorkspace* workspace) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  FrequencyAssignment out;
-
-  const double fmax = platform_.fmax();
-  const double phi = std::clamp(ftarget_hz / fmax, 0.0, 1.0);
-
-  convex::LinearConstraints lin{g_, std::move(rhs)};
+convex::BarrierProblem ProTempOptimizer::program_with(
+    const convex::LinearConstraints& lin, double ftarget_hz) const {
+  const double phi = std::clamp(ftarget_hz / platform_.fmax(), 0.0, 1.0);
 
   // Objective: total power + gradient weight (Eq. 5), all linear.
   linalg::Vector cost(num_vars_);
@@ -500,6 +493,26 @@ FrequencyAssignment ProTempOptimizer::solve_with_rhs(
     problem.constraints.push_back(
         neg_freq_sum(static_cast<double>(num_cores_) * phi));
   }
+  return problem;
+}
+
+convex::BarrierProblem ProTempOptimizer::program_from_state(
+    const linalg::Vector& node_temps, double ftarget_hz) const {
+  return program_with(convex::LinearConstraints{g_, rhs_for_state(node_temps)},
+                      ftarget_hz);
+}
+
+FrequencyAssignment ProTempOptimizer::solve_with_rhs(
+    linalg::Vector rhs, double ftarget_hz,
+    convex::SolverWorkspace* workspace) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  FrequencyAssignment out;
+
+  const double fmax = platform_.fmax();
+  const double phi = std::clamp(ftarget_hz / fmax, 0.0, 1.0);
+
+  convex::LinearConstraints lin{g_, std::move(rhs)};
+  const convex::BarrierProblem problem = program_with(lin, ftarget_hz);
 
   const auto finish = [&](convex::SolveStatus status) {
     out.status = status;

@@ -144,6 +144,14 @@ class ProTempOptimizer {
       const linalg::Vector& node_temps,
       convex::SolverWorkspace* workspace = nullptr) const;
 
+  /// The program solve_from_state() hands the barrier solver for this state
+  /// and target (diagnostics / tests: KKT checks of a solve's optimum).
+  convex::BarrierProblem program_from_state(const linalg::Vector& node_temps,
+                                            double ftarget_hz) const;
+  /// Barrier options for a warm-started solve: the seed is near-optimal, so
+  /// the outer loop starts at a sharper barrier parameter.
+  convex::BarrierOptions warm_options() const;
+
   const ProTempConfig& config() const noexcept { return config_; }
   std::size_t horizon_steps() const noexcept { return steps_; }
   std::size_t num_cores() const noexcept { return num_cores_; }
@@ -171,13 +179,13 @@ class ProTempOptimizer {
                       convex::SolverWorkspace* workspace,
                       convex::SolverWorkspace::Slot slot,
                       linalg::Vector& x0) const;
-  /// Barrier options for a warm-started solve: the seed is near-optimal, so
-  /// the outer loop starts at a sharper barrier parameter.
-  convex::BarrierOptions warm_options() const;
   /// The average-frequency expression offset - sum sqrt(sigma) (workload
   /// constraint / max-throughput objective): per-class fmax-weighted on a
   /// heterogeneous platform, the classic NegSqrtSum otherwise.
   std::shared_ptr<convex::ScalarFunction> neg_freq_sum(double offset) const;
+  /// The power-minimization program over the linear block `lin`.
+  convex::BarrierProblem program_with(const convex::LinearConstraints& lin,
+                                      double ftarget_hz) const;
   /// Shared solve paths once the rhs is fixed.
   FrequencyAssignment solve_with_rhs(linalg::Vector rhs, double ftarget_hz,
                                      convex::SolverWorkspace* workspace) const;

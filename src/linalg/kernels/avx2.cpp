@@ -23,6 +23,10 @@
 
 #include <immintrin.h>
 
+#include <array>
+#include <type_traits>
+#include <utility>
+
 namespace protemp::linalg::kernels {
 namespace avx2 {
 
@@ -293,8 +297,118 @@ void spmm_raw(const CsrView& a, const double* b, std::size_t bcols,
   }
 }
 
-void gram_weighted(const double* a, std::size_t rows, std::size_t cols,
-                   const double* w, double* out) {
+namespace {
+
+/// Calls f(std::integral_constant<std::size_t, I>{}) for I = 0..N-1,
+/// unrolled at compile time so every index below is a constant.
+template <std::size_t N, typename F>
+inline void static_for(F&& f) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (f(std::integral_constant<std::size_t, I>{}), ...);
+  }(std::make_index_sequence<N>{});
+}
+
+/// Lane mask selecting the leading `valid` (1..3) lanes.
+template <std::size_t valid>
+inline __m256i leading_lanes() noexcept {
+  return _mm256_setr_epi64x(-1, valid > 1 ? -1 : 0, valid > 2 ? -1 : 0, 0);
+}
+
+/// Loads the `valid` leading lanes of p[0..4) (the rest read as 0.0)
+/// without touching memory past p[valid - 1].
+template <std::size_t valid>
+inline __m256d load_lanes(const double* p) noexcept {
+  if constexpr (valid >= 4) {
+    return _mm256_loadu_pd(p);
+  } else {
+    return _mm256_maskload_pd(p, leading_lanes<valid>());
+  }
+}
+
+/// Stores the `valid` leading lanes of v to p[0..valid).
+template <std::size_t valid>
+inline void store_lanes(double* p, __m256d v) noexcept {
+  if constexpr (valid >= 4) {
+    _mm256_storeu_pd(p, v);
+  } else {
+    _mm256_maskstore_pd(p, leading_lanes<valid>(), v);
+  }
+}
+
+/// Register layout of the narrow Gram kernel for `Cols` columns: output
+/// row i's upper-triangle segment out[i][i..Cols) is held in
+/// chunks(i) = ceil((Cols - i) / 4) accumulators, chunk c covering columns
+/// i + 4c .. i + 4c + 3 (lanes at or past Cols are never loaded from or
+/// stored to memory). Row i's chunks start at accumulator first(i).
+template <std::size_t Cols>
+struct NarrowGramLayout {
+  static constexpr std::size_t chunks(std::size_t i) {
+    return (Cols - i + 3) / 4;
+  }
+  static constexpr std::size_t first(std::size_t i) {
+    std::size_t n = 0;
+    for (std::size_t r = 0; r < i; ++r) n += chunks(r);
+    return n;
+  }
+  static constexpr std::size_t valid(std::size_t i, std::size_t c) {
+    return Cols - (i + 4 * c) < 4 ? Cols - (i + 4 * c) : 4;
+  }
+  static constexpr std::size_t kAccumulators = first(Cols);
+};
+
+/// Narrow Gram: the whole upper triangle stays in YMM accumulators (spilled
+/// to the stack only past the register file) for the entire row sweep, so
+/// the output is loaded and stored once per call instead of once per input
+/// row. Each lane still replays the scalar sequence for its element —
+/// out[i][j] + (w_k a_ki) * a_kj as separate mul and add, in ascending k,
+/// with the same w_k == 0 and w_k a_ki == 0 skips (a skip leaves the
+/// accumulator untouched, exactly like scalar's `continue`).
+template <std::size_t Cols>
+void gram_narrow(const double* a, std::size_t rows, const double* w,
+                 double* out) {
+  using L = NarrowGramLayout<Cols>;
+  __m256d acc[L::kAccumulators];
+  static_for<Cols>([&](auto i) {
+    static_for<L::chunks(i)>([&](auto c) {
+      acc[L::first(i) + c] =
+          load_lanes<L::valid(i, c)>(out + i * Cols + i + 4 * c);
+    });
+  });
+  for (std::size_t k = 0; k < rows; ++k) {
+    const double* r = a + k * Cols;
+    const double wk = w[k];
+    if (wk == 0.0) continue;
+    static_for<Cols>([&](auto i) {
+      const double wri = wk * r[i];
+      if (wri == 0.0) return;
+      const __m256d vw = _mm256_set1_pd(wri);
+      static_for<L::chunks(i)>([&](auto c) {
+        const __m256d rj = load_lanes<L::valid(i, c)>(r + i + 4 * c);
+        __m256d& lane = acc[L::first(i) + c];
+        lane = _mm256_add_pd(lane, _mm256_mul_pd(vw, rj));
+      });
+    });
+  }
+  static_for<Cols>([&](auto i) {
+    static_for<L::chunks(i)>([&](auto c) {
+      store_lanes<L::valid(i, c)>(out + i * Cols + i + 4 * c,
+                                  acc[L::first(i) + c]);
+    });
+  });
+}
+
+using GramFn = void (*)(const double*, std::size_t, const double*, double*);
+
+/// gram_narrow<1> .. gram_narrow<kAvx2NarrowGramCols>, indexed by cols - 1.
+template <std::size_t... I>
+constexpr std::array<GramFn, sizeof...(I)> narrow_gram_table(
+    std::index_sequence<I...>) {
+  return {&gram_narrow<I + 1>...};
+}
+
+/// Wide Gram: accumulates the upper triangle of out (no mirror).
+void gram_tiled(const double* a, std::size_t rows, std::size_t cols,
+                const double* w, double* out) {
   // Tiled over output rows i: each output element out[i][j] still
   // accumulates its w_k (a_ki a_kj) terms in ascending k — the scalar
   // sequence — but a tile of output rows stays cache-resident across the
@@ -348,6 +462,19 @@ void gram_weighted(const double* a, std::size_t rows, std::size_t cols,
         row_axpy(wri, r + i, cols - i, out + i * cols + i);
       }
     }
+  }
+}
+
+}  // namespace
+
+void gram_weighted(const double* a, std::size_t rows, std::size_t cols,
+                   const double* w, double* out) {
+  static constexpr auto kNarrow =
+      narrow_gram_table(std::make_index_sequence<kAvx2NarrowGramCols>{});
+  if (cols >= 1 && cols <= kAvx2NarrowGramCols) {
+    kNarrow[cols - 1](a, rows, w, out);
+  } else {
+    gram_tiled(a, rows, cols, w, out);
   }
   for (std::size_t i = 0; i < cols; ++i) {
     for (std::size_t j = i + 1; j < cols; ++j) {

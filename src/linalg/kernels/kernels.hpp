@@ -49,6 +49,12 @@ std::optional<KernelBackend> parse_kernel_backend(
 /// True iff the running CPU reports AVX2 and FMA (false off-x86).
 bool cpu_supports_avx2() noexcept;
 
+/// Column counts up to this take the AVX2 backend's register-resident
+/// narrow gram_weighted path; wider systems take the tiled path. Set by
+/// measurement: the narrow path wins up to ~48 columns, but its code
+/// doubles with every 8 columns of cutoff (DESIGN.md §9).
+inline constexpr std::size_t kAvx2NarrowGramCols = 24;
+
 /// Read-only view of a CSR matrix plus its optional SELL-4 slab mirror
 /// (built by SparseMatrix; slab pointers null when absent, in which case
 /// SIMD backends fall back to the CSR arrays).
@@ -111,7 +117,11 @@ struct KernelOps {
                    double* out);
   /// out (cols x cols, pre-zeroed) = A^T diag(w) A, upper triangle
   /// accumulated in row order with the w==0 / w*r_i==0 skips, then
-  /// mirrored (Matrix::gram_weighted_into).
+  /// mirrored (Matrix::gram_weighted_into). AVX2 keeps the upper triangle
+  /// in YMM accumulators across the row sweep for cols <=
+  /// kAvx2NarrowGramCols (the barrier's Newton systems: 9 columns on the
+  /// niagara8 program, 10 in phase-I) and tiles the output rows above
+  /// that; both replay the scalar sequence per element (DESIGN.md §9).
   void (*gram_weighted)(const double* a, std::size_t rows, std::size_t cols,
                         const double* w, double* out);
   /// y[i] += alpha * x[i] (Vector::axpy).

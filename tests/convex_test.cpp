@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/niagara.hpp"
 #include "convex/barrier.hpp"
 #include "convex/functions.hpp"
 #include "convex/kkt.hpp"
 #include "convex/problem.hpp"
+#include "core/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace protemp::convex {
@@ -230,6 +232,56 @@ TEST(Barrier, ProblemValidation) {
   EXPECT_NO_THROW(problem.validate());
   problem.linear = LinearConstraints{Matrix{{1.0}}, Vector{1.0}};
   EXPECT_THROW(problem.validate(), std::invalid_argument);
+}
+
+TEST(Barrier, PaperProgramWarmSolveEndsStagesAtFixedPoint) {
+  // The niagara8 program at the paper's configuration (3417 rows x 9
+  // variables), warm-started from its own optimum at a steady-state rhs —
+  // the steady MPC window. Its last stage cannot reach newton_tolerance: it
+  // stops at the iterate's floating-point fixed point, not at the cap.
+  const arch::Platform platform = arch::make_niagara_platform();
+  const core::ProTempOptimizer optimizer(platform, core::ProTempConfig{});
+  Vector core_watts(platform.num_cores(), 0.4 * platform.core_pmax());
+  const Vector state =
+      platform.network().steady_state(platform.full_power(core_watts, 0.4));
+  const double ftarget = 0.5 * platform.fmax();
+
+  SolverWorkspace ws;
+  const core::FrequencyAssignment cold =
+      optimizer.solve_from_state(state, ftarget, &ws);
+  ASSERT_TRUE(cold.feasible);
+  const Vector* hint = ws.hint(SolverWorkspace::kMain);
+  ASSERT_NE(hint, nullptr);
+
+  const BarrierProblem problem = optimizer.program_from_state(state, ftarget);
+  ASSERT_EQ(problem.linear->count(), 3417u);
+  ws.stats() = {};
+  const Solution sol =
+      solve_barrier(problem, *hint, optimizer.warm_options(), &ws);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  const SolverWorkspace::Stats& stats = ws.stats();
+  EXPECT_GT(stats.stages_fixed_point, 0u);
+  EXPECT_LT(stats.stages_capped, stats.stages);
+  // KKT at the BarrierProperty bar (1e-3), scaled to this program's units:
+  // the objective gradient is pmax = 4 W per sigma, not O(1). The last
+  // stage's stationarity residual is its fixed point's, the same iterate
+  // the 80-step cap would return.
+  const double scale = problem.objective->gradient(sol.x).norm_inf();
+  ASSERT_GT(scale, 1.0);
+  EXPECT_LT(check_kkt(problem, sol.x, sol.duals).worst(), 1e-3 * scale);
+}
+
+TEST(Barrier, StageCapHitsAreCounted) {
+  // One Newton step per stage never reaches newton_tolerance on the
+  // polytope LP, so every stage that runs ends at the cap.
+  const BarrierProblem problem = budget_polytope();
+  BarrierOptions opt;
+  opt.max_newton_per_stage = 1;
+  SolverWorkspace ws;
+  solve_barrier(problem, Vector{0.5, 0.5}, opt, &ws);
+  EXPECT_GT(ws.stats().stages, 0u);
+  EXPECT_EQ(ws.stats().stages_capped, ws.stats().stages);
+  EXPECT_EQ(ws.stats().stages_fixed_point, 0u);
 }
 
 // ------------------------------------------------------------------ phase I --

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,6 +233,77 @@ TEST(KernelParity, GramWeightedBitwise) {
       avx2->gram_weighted(a.data(), rows, cols, w.data(), out_v.data());
       EXPECT_TRUE(bitwise_equal(out_s, out_v))
           << "gram_weighted " << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(KernelParity, GramWeightedNarrowPathBitwise) {
+  // Every width the register-resident narrow path takes, the first width
+  // past its cutoff and a 64-column tiled system, at row counts 0-3 mod 4
+  // plus the niagara8 program (3417 x 9) and phase-I (3418 x 10) shapes.
+  // Rows cycle through single-nonzero rows (the sigma bound rows), rows
+  // mixing 0.0 and -0.0 entries, zero-weight rows, all -0.0 rows and
+  // (in one of two passes per shape) dense rows; weights span 1e-20 to
+  // 1e20, and the output starts as +0.0 or -0.0.
+  SKIP_WITHOUT_AVX2();
+  const KernelOps* avx2 = linalg::kernels::avx2_ops();
+  const KernelOps& scalar = linalg::kernels::scalar_ops();
+  const std::size_t cutoff = linalg::kernels::kAvx2NarrowGramCols;
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t cols = 1; cols <= cutoff + 1; ++cols) {
+    for (std::size_t rows = 40; rows < 44; ++rows) {
+      shapes.emplace_back(rows, cols);
+    }
+  }
+  for (std::size_t rows = 40; rows < 44; ++rows) {
+    shapes.emplace_back(rows, 64);
+  }
+  shapes.emplace_back(3417, 9);
+  shapes.emplace_back(3418, 10);
+
+  std::mt19937_64 rng(16);
+  std::uniform_real_distribution<double> value(-2.0, 2.0);
+  std::uniform_real_distribution<double> exponent(-20.0, 20.0);
+  for (const auto& [rows, cols] : shapes) {
+    for (const bool dense : {true, false}) {
+      std::vector<double> a(rows * cols, 0.0);
+      std::vector<double> w(rows);
+      for (std::size_t k = 0; k < rows; ++k) {
+        double* r = a.data() + k * cols;
+        w[k] = std::pow(10.0, exponent(rng));
+        // Without dense rows many elements end as a signed zero, so a skip
+        // that is not replayed exactly shows as a flipped sign bit.
+        switch (dense ? k % 5 : k % 4) {
+          case 0:  // single nonzero: a sigma bound row
+            r[(k / 5) % cols] = (k / 5) % 2 == 0 ? 1.0 : -1.0;
+            break;
+          case 1:  // signed zeros among nonzeros
+            for (std::size_t j = 0; j < cols; ++j) {
+              const std::size_t pick = rng() % 3;
+              r[j] = pick == 0 ? 0.0 : pick == 1 ? -0.0 : value(rng);
+            }
+            break;
+          case 2:  // zero weight on a dense row
+            for (std::size_t j = 0; j < cols; ++j) r[j] = value(rng);
+            w[k] = 0.0;
+            break;
+          case 3:  // all -0.0
+            for (std::size_t j = 0; j < cols; ++j) r[j] = -0.0;
+            break;
+          default:  // dense
+            for (std::size_t j = 0; j < cols; ++j) r[j] = value(rng);
+            break;
+        }
+      }
+      for (const double fill : {0.0, -0.0}) {
+        std::vector<double> out_s(cols * cols, fill);
+        auto out_v = out_s;
+        scalar.gram_weighted(a.data(), rows, cols, w.data(), out_s.data());
+        avx2->gram_weighted(a.data(), rows, cols, w.data(), out_v.data());
+        EXPECT_TRUE(bitwise_equal(out_s, out_v))
+            << "gram_weighted " << rows << "x" << cols << " fill " << fill
+            << (dense ? " with" : " without") << " dense rows";
+      }
     }
   }
 }
