@@ -37,44 +37,23 @@ struct BudgetState {
   }
 };
 
-/// Barrier value at x for parameter t; gradient/Hessian land in the
-/// workspace buffers when requested. `feasible` is false (value +inf,
-/// buffers unspecified) if x is not strictly feasible.
+/// Barrier value at x for parameter t. `feasible` is false (value +inf) if
+/// x is not strictly feasible. A feasible evaluation leaves the linear
+/// block's residuals r = G x - h and inverse slacks 1 / (h - G x) for x in
+/// the workspace, which add_derivatives() consumes.
 struct BarrierEval {
   double value = kInfinity;
   bool feasible = false;
 };
 
 BarrierEval evaluate(const BarrierProblem& prob, const linalg::Vector& x,
-                     double t, bool with_derivatives,
-                     SolverWorkspace::BarrierBuffers& buf) {
+                     double t, SolverWorkspace::BarrierBuffers& buf) {
   BarrierEval out;
-  const std::size_t n = x.size();
   double value = t * prob.objective->value(x);
-  if (with_derivatives) {
-    buf.gradient = prob.objective->gradient(x);
-    buf.gradient *= t;
-    buf.hessian = prob.objective->hessian(x);
-    buf.hessian *= t;
-  }
-
   for (const auto& f : prob.constraints) {
     const double fi = f->value(x);
     if (!(fi < 0.0)) return out;  // infeasible (or NaN)
     value -= std::log(-fi);
-    if (with_derivatives) {
-      const linalg::Vector gi = f->gradient(x);
-      // -log(-f): grad = g / (-f), hess = H/(-f) + g g^T / f^2.
-      const double inv = 1.0 / (-fi);
-      buf.gradient.axpy(inv, gi);
-      buf.hessian += f->hessian(x) * inv;
-      const double inv2 = inv * inv;
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          buf.hessian(i, j) += inv2 * gi[i] * gi[j];
-        }
-      }
-    }
   }
 
   if (prob.linear) {
@@ -89,20 +68,48 @@ BarrierEval evaluate(const BarrierProblem& prob, const linalg::Vector& x,
       value -= std::log(-ri);
       buf.inv_slack[i] = -1.0 / ri;
     }
-    if (with_derivatives) {
-      prob.linear->g.multiply_transposed_add_into(buf.inv_slack, buf.gradient);
-      buf.inv_slack2.resize(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        buf.inv_slack2[i] = buf.inv_slack[i] * buf.inv_slack[i];
-      }
-      prob.linear->g.gram_weighted_into(buf.inv_slack2, buf.gram);
-      buf.hessian += buf.gram;
-    }
   }
 
   out.value = value;
   out.feasible = true;
   return out;
+}
+
+/// Barrier gradient and Hessian at a strictly feasible x into the workspace.
+/// Reads buf.inv_slack, so the last evaluate() must have been at this x.
+void add_derivatives(const BarrierProblem& prob, const linalg::Vector& x,
+                     double t, SolverWorkspace::BarrierBuffers& buf) {
+  const std::size_t n = x.size();
+  buf.gradient = prob.objective->gradient(x);
+  buf.gradient *= t;
+  buf.hessian = prob.objective->hessian(x);
+  buf.hessian *= t;
+
+  for (const auto& f : prob.constraints) {
+    const double fi = f->value(x);
+    const linalg::Vector gi = f->gradient(x);
+    // -log(-f): grad = g / (-f), hess = H/(-f) + g g^T / f^2.
+    const double inv = 1.0 / (-fi);
+    buf.gradient.axpy(inv, gi);
+    buf.hessian += f->hessian(x) * inv;
+    const double inv2 = inv * inv;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        buf.hessian(i, j) += inv2 * gi[i] * gi[j];
+      }
+    }
+  }
+
+  if (prob.linear) {
+    prob.linear->g.multiply_transposed_add_into(buf.inv_slack, buf.gradient);
+    const std::size_t m = buf.inv_slack.size();
+    buf.inv_slack2.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      buf.inv_slack2[i] = buf.inv_slack[i] * buf.inv_slack[i];
+    }
+    prob.linear->g.gram_weighted_into(buf.inv_slack2, buf.gram);
+    buf.hessian += buf.gram;
+  }
 }
 
 /// One centering stage (damped Newton at fixed t); updates x in place.
@@ -115,6 +122,7 @@ struct CenterResult {
   bool fixed_point = false;     ///< an accepted step left x bitwise unchanged
   bool capped = false;          ///< ran all max_newton_per_stage steps
   std::size_t newton_steps = 0;
+  std::size_t line_search_trials = 0;  ///< candidate points evaluated
 };
 
 bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
@@ -126,6 +134,11 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
                     SolverWorkspace::BarrierBuffers& buf,
                     BudgetState& budget) {
   CenterResult result;
+  // Barrier value at x. Only the first step evaluates it: every later step
+  // starts at the candidate the line search just accepted, whose trial
+  // evaluation computed the value, residuals and inverse slacks at the
+  // same (x, t) in the same order of operations, so they are reused as is.
+  BarrierEval eval;
   for (std::size_t step = 0; step < opt.max_newton_per_stage; ++step) {
     if (budget.expired()) {
       // x is the incumbent reached by the last full step — still strictly
@@ -133,9 +146,11 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
       result.budget_expired = true;
       return result;
     }
-    const BarrierEval eval = evaluate(prob, x, t, /*with_derivatives=*/true,
-                                      buf);
-    if (!eval.feasible) return result;  // should not happen from feasible x
+    if (step == 0) {
+      eval = evaluate(prob, x, t, buf);
+      if (!eval.feasible) return result;  // should not happen from feasible x
+    }
+    add_derivatives(prob, x, t, buf);
 
     // Newton direction with ridge escalation on factorization failure. The
     // ridge is scaled to the Hessian's diagonal so it stays meaningful when
@@ -174,8 +189,8 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
     for (int ls = 0; ls < 60; ++ls) {
       buf.candidate = x;
       buf.candidate.axpy(step_size, buf.direction);
-      const BarrierEval trial =
-          evaluate(prob, buf.candidate, t, /*with_derivatives=*/false, buf);
+      const BarrierEval trial = evaluate(prob, buf.candidate, t, buf);
+      ++result.line_search_trials;
       if (trial.feasible &&
           trial.value <= eval.value + opt.line_search_alpha * step_size * slope) {
         if (same_bits(buf.candidate, x)) {
@@ -188,6 +203,7 @@ CenterResult center(const BarrierProblem& prob, linalg::Vector& x, double t,
           return result;
         }
         x = buf.candidate;
+        eval = trial;
         moved = true;
         break;
       }
@@ -287,6 +303,7 @@ Solution solve_barrier(const BarrierProblem& problem, const linalg::Vector& x0,
     total_newton += centered.newton_steps;
     SolverWorkspace::Stats& stats = ws.stats();
     stats.newton_steps += centered.newton_steps;
+    stats.line_search_trials += centered.line_search_trials;
     ++stats.stages;
     if (centered.capped) ++stats.stages_capped;
     if (centered.fixed_point) ++stats.stages_fixed_point;

@@ -50,6 +50,8 @@ class SolverWorkspace {
     std::size_t warm_started = 0;   ///< seeded from a recorded optimum
     std::size_t warm_rejected = 0;  ///< hint present but not strictly feasible
     std::size_t newton_steps = 0;   ///< cumulative Newton iterations
+    /// Line-search candidates evaluated (each one barrier value pass).
+    std::size_t line_search_trials = 0;
     std::size_t budget_expired = 0; ///< solves cut short by the fixed budget
     std::size_t stages = 0;         ///< centering stages run
     /// Stages that ran max_newton_per_stage steps without reaching

@@ -361,8 +361,8 @@ linalg::Vector ProTempOptimizer::rhs_for_state(
 }
 
 std::optional<linalg::Vector> ProTempOptimizer::feasible_start(
-    const convex::LinearConstraints& lin,
-    convex::SolverWorkspace* workspace) const {
+    const convex::LinearConstraints& lin, convex::SolverWorkspace* workspace,
+    std::size_t& newton) const {
   // Near-zero sigma is strictly feasible for the thermal rows whenever the
   // point is feasible at all (temperatures are monotone in power); tgrad
   // starts above the largest zero-power pairwise gap.
@@ -389,13 +389,49 @@ std::optional<linalg::Vector> ProTempOptimizer::feasible_start(
     if (thermal_violated) break;
     x[num_sigma_] = x[num_sigma_] * 2.0 + worst + 1.0;
   }
-  // Fall back to generic phase-I.
+  if (floor_certifies_infeasible(lin)) return std::nullopt;
+  // Fall back to generic phase-I: only the thin band between sigma_floor
+  // and the probe point above gets here.
   convex::BarrierProblem probe;
   linalg::Vector c(num_vars_);
   probe.objective = std::make_shared<convex::AffineFunction>(c, 0.0);
   probe.linear = lin;
-  return convex::find_strictly_feasible(probe, x, 1e-12, config_.solver,
-                                        workspace);
+  convex::SolverWorkspace scratch;
+  convex::SolverWorkspace& ws = workspace ? *workspace : scratch;
+  const std::size_t before = ws.stats().newton_steps;
+  std::optional<linalg::Vector> start =
+      convex::find_strictly_feasible(probe, x, 1e-12, config_.solver, &ws);
+  newton += ws.stats().newton_steps - before;
+  return start;
+}
+
+bool ProTempOptimizer::floor_certifies_infeasible(
+    const convex::LinearConstraints& lin) const {
+  // A row with no tgrad term and no negative sigma coefficient is
+  // nondecreasing in every sigma, and floating-point products and sums are
+  // monotone too, so its computed residual anywhere in the box
+  // sigma > sigma_floor is at least its residual at the floor. If that is
+  // already >= 0, no point is strictly feasible, and phase-I (which only
+  // returns a strictly feasible point) must fail.
+  linalg::Vector floor(num_vars_);
+  for (std::size_t v = 0; v < num_sigma_; ++v) floor[v] = config_.sigma_floor;
+  const linalg::Vector r = lin.residuals(floor);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (!(r[i] >= 0.0)) continue;
+    const double* row = lin.g.row_data(i);
+    bool monotone = !has_tgrad_ || row[num_sigma_] == 0.0;
+    for (std::size_t v = 0; monotone && v < num_sigma_; ++v) {
+      monotone = row[v] >= 0.0;
+    }
+    if (monotone) return true;
+  }
+  return false;
+}
+
+bool ProTempOptimizer::thermal_rows_infeasible(
+    const linalg::Vector& node_temps) const {
+  return floor_certifies_infeasible(
+      convex::LinearConstraints{g_, rhs_for_state(node_temps)});
 }
 
 bool ProTempOptimizer::try_warm_start(const convex::BarrierProblem& problem,
@@ -458,13 +494,15 @@ convex::BarrierOptions ProTempOptimizer::warm_options() const {
 FrequencyAssignment ProTempOptimizer::solve(
     double tstart_celsius, double ftarget_hz,
     convex::SolverWorkspace* workspace) const {
-  return solve_with_rhs(rhs_for(tstart_celsius), ftarget_hz, workspace);
+  return solve_with_rhs(rhs_for(tstart_celsius), ftarget_hz, workspace,
+                        /*with_fallback=*/false);
 }
 
 FrequencyAssignment ProTempOptimizer::solve_from_state(
     const linalg::Vector& node_temps, double ftarget_hz,
     convex::SolverWorkspace* workspace) const {
-  return solve_with_rhs(rhs_for_state(node_temps), ftarget_hz, workspace);
+  return solve_with_rhs(rhs_for_state(node_temps), ftarget_hz, workspace,
+                        /*with_fallback=*/true);
 }
 
 convex::BarrierProblem ProTempOptimizer::program_with(
@@ -502,14 +540,29 @@ convex::BarrierProblem ProTempOptimizer::program_from_state(
                       ftarget_hz);
 }
 
+void ProTempOptimizer::serve(const linalg::Vector& x,
+                             FrequencyAssignment& out) const {
+  out.frequencies = linalg::Vector(num_cores_);
+  double freq_sum = 0.0;
+  double power_sum = 0.0;
+  for (std::size_t c = 0; c < num_cores_; ++c) {
+    const double sigma = config_.uniform_frequency ? x[0] : x[c];
+    out.frequencies[c] = (het_ ? core_fmax_[c] : platform_.fmax()) *
+                         std::sqrt(std::max(0.0, sigma));
+    freq_sum += out.frequencies[c];
+    power_sum += (het_ ? core_pmax_[c] : platform_.core_pmax()) * sigma;
+  }
+  out.average_frequency = freq_sum / static_cast<double>(num_cores_);
+  out.total_power = power_sum;
+}
+
 FrequencyAssignment ProTempOptimizer::solve_with_rhs(
-    linalg::Vector rhs, double ftarget_hz,
-    convex::SolverWorkspace* workspace) const {
+    linalg::Vector rhs, double ftarget_hz, convex::SolverWorkspace* workspace,
+    bool with_fallback) const {
   const auto t0 = std::chrono::steady_clock::now();
   FrequencyAssignment out;
 
-  const double fmax = platform_.fmax();
-  const double phi = std::clamp(ftarget_hz / fmax, 0.0, 1.0);
+  const double phi = std::clamp(ftarget_hz / platform_.fmax(), 0.0, 1.0);
 
   convex::LinearConstraints lin{g_, std::move(rhs)};
   const convex::BarrierProblem problem = program_with(lin, ftarget_hz);
@@ -521,6 +574,33 @@ FrequencyAssignment ProTempOptimizer::solve_with_rhs(
             .count();
     return out;
   };
+  // A stale warm seed must never turn a solvable point into a failure: drop
+  // the hints and retry once from the cold path (the recursion terminates —
+  // no hints survive forget()).
+  const auto retry_cold = [&] {
+    workspace->forget();
+    const double wasted =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    FrequencyAssignment retry =
+        solve_with_rhs(std::move(lin.h), ftarget_hz, workspace, with_fallback);
+    retry.newton_iterations += out.newton_iterations;
+    retry.solve_seconds += wasted;
+    return retry;
+  };
+  // The workload cannot be met. With a fallback, serve the highest safe
+  // throughput: the max-throughput program solved from this workspace
+  // exactly as max_supported_frequency_from_state would solve it now.
+  const auto infeasible = [&](convex::SolveStatus status) {
+    if (with_fallback) {
+      if (const auto best = max_throughput(lin, workspace,
+                                           out.newton_iterations)) {
+        serve(*best, out);
+        out.throughput_fallback = true;
+      }
+    }
+    return finish(status);
+  };
 
   // Warm path: seed from the previous optimum, skipping both the
   // feasible-start search and the throughput lift solve below.
@@ -530,8 +610,8 @@ FrequencyAssignment ProTempOptimizer::solve_with_rhs(
 
   if (!out.warm_started) {
     // Strictly feasible start for the thermal rows...
-    const auto start = feasible_start(lin, workspace);
-    if (!start) return finish(convex::SolveStatus::kInfeasible);
+    const auto start = feasible_start(lin, workspace, out.newton_iterations);
+    if (!start) return infeasible(convex::SolveStatus::kInfeasible);
 
     x0 = *start;
     if (phi > 0.0 && !problem.strictly_feasible(x0)) {
@@ -553,28 +633,30 @@ FrequencyAssignment ProTempOptimizer::solve_with_rhs(
       out.newton_iterations += sol.iterations;
       // A budget-expired lift still yields an incumbent worth trying; the
       // strictly_feasible check below decides whether it is usable.
-      if (sol.status != convex::SolveStatus::kOptimal &&
-          sol.status != convex::SolveStatus::kBudgetExpired) {
-        if (lift_warm) {
-          // Stale throughput seed: drop hints, retry fully cold (the
-          // recursion terminates — no hints survive forget()).
-          workspace->forget();
-          const double wasted =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0).count();
-          FrequencyAssignment retry =
-              solve_with_rhs(std::move(lin.h), ftarget_hz, workspace);
-          retry.newton_iterations += out.newton_iterations;
-          retry.solve_seconds += wasted;
-          return retry;
-        }
+      const bool budget_expired =
+          sol.status == convex::SolveStatus::kBudgetExpired;
+      if (sol.status != convex::SolveStatus::kOptimal && !budget_expired) {
+        if (lift_warm) return retry_cold();
+        // No fallback: max_supported_frequency_from_state would repeat
+        // this very solve (same seed, same options) and fail the same way.
         return finish(sol.status);
       }
-      if (!problem.strictly_feasible(sol.x)) {
-        return finish(convex::SolveStatus::kInfeasible);
-      }
-      if (workspace) {
+      // If the lift misses the workload, it is the fallback: the
+      // max-throughput program solved from the seed
+      // max_supported_frequency_from_state would use. A budget-expired
+      // incumbent is served like the main solve's (strictly feasible for
+      // the thermal rows).
+      const bool lifted = problem.strictly_feasible(sol.x);
+      if (workspace && (lifted || with_fallback)) {
         workspace->remember(convex::SolverWorkspace::kThroughput, sol.x);
+      }
+      if (!lifted) {
+        if (with_fallback) {
+          serve(sol.x, out);
+          out.throughput_fallback = true;
+        }
+        return finish(budget_expired ? convex::SolveStatus::kBudgetExpired
+                                     : convex::SolveStatus::kInfeasible);
       }
       x0 = sol.x;
     }
@@ -590,37 +672,13 @@ FrequencyAssignment ProTempOptimizer::solve_with_rhs(
   const bool budget_expired =
       sol.status == convex::SolveStatus::kBudgetExpired;
   if (sol.status != convex::SolveStatus::kOptimal && !budget_expired) {
-    // A stale warm seed must never turn a solvable point into a failure:
-    // drop the hint and retry once from the cold path before reporting.
-    if (out.warm_started) {
-      if (workspace) workspace->forget();
-      const double wasted =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      FrequencyAssignment retry =
-          solve_with_rhs(std::move(lin.h), ftarget_hz, workspace);
-      retry.newton_iterations += out.newton_iterations;
-      retry.solve_seconds += wasted;
-      return retry;
-    }
-    return finish(sol.status);
+    if (out.warm_started) return retry_cold();
+    return infeasible(sol.status);
   }
   if (workspace) workspace->remember(convex::SolverWorkspace::kMain, sol.x);
 
   out.feasible = true;
-  out.frequencies = linalg::Vector(num_cores_);
-  double freq_sum = 0.0;
-  double power_sum = 0.0;
-  for (std::size_t c = 0; c < num_cores_; ++c) {
-    const double sigma =
-        config_.uniform_frequency ? sol.x[0] : sol.x[c];
-    out.frequencies[c] =
-        (het_ ? core_fmax_[c] : fmax) * std::sqrt(std::max(0.0, sigma));
-    freq_sum += out.frequencies[c];
-    power_sum += (het_ ? core_pmax_[c] : platform_.core_pmax()) * sigma;
-  }
-  out.average_frequency = freq_sum / static_cast<double>(num_cores_);
-  out.total_power = power_sum;
+  serve(sol.x, out);
   if (has_tgrad_) out.tgrad = sol.x[num_sigma_];
   PROTEMP_LOG_DEBUG(kModule,
                     "solve(ftarget=%.0fMHz): favg=%.0fMHz "
@@ -646,8 +704,19 @@ ProTempOptimizer::max_supported_frequency_from_state(
 std::optional<ProTempOptimizer::ThroughputResult>
 ProTempOptimizer::max_throughput_with_rhs(
     linalg::Vector rhs, convex::SolverWorkspace* workspace) const {
-  convex::LinearConstraints lin{g_, std::move(rhs)};
+  const convex::LinearConstraints lin{g_, std::move(rhs)};
+  std::size_t newton = 0;
+  const std::optional<linalg::Vector> x = max_throughput(lin, workspace, newton);
+  if (!x) return std::nullopt;
+  FrequencyAssignment served;
+  serve(*x, served);
+  return ThroughputResult{served.average_frequency,
+                          std::move(served.frequencies)};
+}
 
+std::optional<linalg::Vector> ProTempOptimizer::max_throughput(
+    const convex::LinearConstraints& lin, convex::SolverWorkspace* workspace,
+    std::size_t& newton) const {
   convex::BarrierProblem throughput;
   throughput.objective = neg_freq_sum(0.0);
   throughput.linear = lin;
@@ -656,37 +725,27 @@ ProTempOptimizer::max_throughput_with_rhs(
   const bool warm = try_warm_start(
       throughput, workspace, convex::SolverWorkspace::kThroughput, x0);
   if (!warm) {
-    const auto start = feasible_start(lin, workspace);
+    const auto start = feasible_start(lin, workspace, newton);
     if (!start) return std::nullopt;
     x0 = *start;
   }
   convex::Solution sol = convex::solve_barrier(
       throughput, x0, warm ? warm_options() : config_.solver, workspace);
+  newton += sol.iterations;
   if (warm && sol.status != convex::SolveStatus::kOptimal) {
     // Stale warm seed: drop it and retry cold (see solve_with_rhs).
-    if (workspace) workspace->forget();
-    const auto start = feasible_start(lin, workspace);
+    workspace->forget();
+    const auto start = feasible_start(lin, workspace, newton);
     if (!start) return std::nullopt;
     sol = convex::solve_barrier(throughput, *start, config_.solver,
                                 workspace);
+    newton += sol.iterations;
   }
   if (sol.status != convex::SolveStatus::kOptimal) return std::nullopt;
   if (workspace) {
     workspace->remember(convex::SolverWorkspace::kThroughput, sol.x);
   }
-
-  ThroughputResult out;
-  out.frequencies = linalg::Vector(num_cores_);
-  double freq_sum = 0.0;
-  for (std::size_t c = 0; c < num_cores_; ++c) {
-    const double sigma =
-        config_.uniform_frequency ? sol.x[0] : sol.x[c];
-    out.frequencies[c] = (het_ ? core_fmax_[c] : platform_.fmax()) *
-                         std::sqrt(std::max(0.0, sigma));
-    freq_sum += out.frequencies[c];
-  }
-  out.average_frequency = freq_sum / static_cast<double>(num_cores_);
-  return out;
+  return std::move(sol.x);
 }
 
 }  // namespace protemp::core

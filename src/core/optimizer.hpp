@@ -89,14 +89,29 @@ struct ProTempConfig {
   convex::BarrierOptions solver;
 };
 
-/// Result of one Phase-1 solve.
+/// Result of one Phase-1 solve. Exactly one of three outcomes:
+///   * `feasible`: `frequencies` is the power-minimizing assignment that
+///     meets ftarget (status kOptimal, or kBudgetExpired for a budgeted
+///     solve's strictly feasible incumbent);
+///   * `throughput_fallback` (solve_from_state only): ftarget cannot be met
+///     from this state, and `frequencies` is the highest safe throughput
+///     instead — bit for bit what max_supported_frequency_from_state would
+///     return from the same workspace at that point, so the caller needs no
+///     second solve. When a Newton budget or deadline (BarrierOptions)
+///     cuts that solve short, its incumbent is served instead (status
+///     kBudgetExpired); it is strictly feasible for the thermal rows;
+///   * neither: no frequency vector is safe, or the solve failed;
+///     `frequencies` is empty.
 struct FrequencyAssignment {
   bool feasible = false;
+  bool throughput_fallback = false;
   convex::SolveStatus status = convex::SolveStatus::kInfeasible;
-  linalg::Vector frequencies;      ///< per core [Hz] (empty if infeasible)
+  linalg::Vector frequencies;      ///< per core [Hz] (empty if neither)
   double average_frequency = 0.0;  ///< mean of frequencies [Hz]
   double total_power = 0.0;        ///< sum of core powers [W]
   double tgrad = 0.0;              ///< achieved gradient bound [K] (if on)
+  /// Every Newton step the call ran: phase-I, the throughput solve, the
+  /// main solve and any cold retry.
   std::size_t newton_iterations = 0;
   double solve_seconds = 0.0;
   bool warm_started = false;       ///< seeded from a workspace hint
@@ -124,7 +139,10 @@ class ProTempOptimizer {
   /// state (one temperature per thermal node, spreader/sink included).
   /// Strictly less conservative than solve() keyed on max(t0): the affine
   /// horizon maps propagate the true non-uniform state. Extension beyond
-  /// the paper's table-lookup Phase 2; see OnlineProTempPolicy.
+  /// the paper's table-lookup Phase 2; see OnlineProTempPolicy. Unlike
+  /// solve(), an infeasible state yields the throughput fallback (see
+  /// FrequencyAssignment), which also updates the workspace's kThroughput
+  /// hint.
   FrequencyAssignment solve_from_state(
       const linalg::Vector& node_temps, double ftarget_hz,
       convex::SolverWorkspace* workspace = nullptr) const;
@@ -143,6 +161,12 @@ class ProTempOptimizer {
   std::optional<ThroughputResult> max_supported_frequency_from_state(
       const linalg::Vector& node_temps,
       convex::SolverWorkspace* workspace = nullptr) const;
+
+  /// True if some temperature (or budget) row is violated even with every
+  /// core at sigma_floor; rows are monotone in sigma, so no frequency
+  /// vector is then safe. This O(rows*n) certificate is what the solves
+  /// check before running phase-I (diagnostics / tests).
+  bool thermal_rows_infeasible(const linalg::Vector& node_temps) const;
 
   /// The program solve_from_state() hands the barrier solver for this state
   /// and target (diagnostics / tests: KKT checks of a solve's optimum).
@@ -167,10 +191,12 @@ class ProTempOptimizer {
   /// Right-hand side for an arbitrary initial node-temperature vector.
   linalg::Vector rhs_for_state(const linalg::Vector& node_temps) const;
   /// A strictly feasible starting sigma (+ tgrad) for the thermal rows, or
-  /// nullopt if none exists.
+  /// nullopt if none exists. Adds phase-I's Newton steps to `newton`.
   std::optional<linalg::Vector> feasible_start(
-      const convex::LinearConstraints& lin,
-      convex::SolverWorkspace* workspace) const;
+      const convex::LinearConstraints& lin, convex::SolverWorkspace* workspace,
+      std::size_t& newton) const;
+  /// The sigma_floor certificate behind thermal_rows_infeasible().
+  bool floor_certifies_infeasible(const convex::LinearConstraints& lin) const;
   /// Seeds `x0` from the workspace hint in `slot` if one exists and is
   /// strictly feasible for `problem` (blending slightly toward the interior
   /// when the raw hint has lost its margin to the rhs shift). Updates the
@@ -186,11 +212,21 @@ class ProTempOptimizer {
   /// The power-minimization program over the linear block `lin`.
   convex::BarrierProblem program_with(const convex::LinearConstraints& lin,
                                       double ftarget_hz) const;
-  /// Shared solve paths once the rhs is fixed.
+  /// Fills out.frequencies, average_frequency and total_power from x.
+  void serve(const linalg::Vector& x, FrequencyAssignment& out) const;
+  /// Shared solve paths once the rhs is fixed. `with_fallback` attaches the
+  /// throughput fallback to infeasible outcomes (solve_from_state).
   FrequencyAssignment solve_with_rhs(linalg::Vector rhs, double ftarget_hz,
-                                     convex::SolverWorkspace* workspace) const;
+                                     convex::SolverWorkspace* workspace,
+                                     bool with_fallback) const;
   std::optional<ThroughputResult> max_throughput_with_rhs(
       linalg::Vector rhs, convex::SolverWorkspace* workspace) const;
+  /// The max-throughput optimum over `lin` (warm from the kThroughput hint
+  /// when usable, else cold), remembered in that slot; nullopt if no safe
+  /// point exists or the solve fails. Adds its Newton steps to `newton`.
+  std::optional<linalg::Vector> max_throughput(
+      const convex::LinearConstraints& lin, convex::SolverWorkspace* workspace,
+      std::size_t& newton) const;
 
   const arch::Platform& platform_;
   ProTempConfig config_;

@@ -43,12 +43,11 @@ linalg::Vector OnlineProTempPolicy::on_window(
   if (result.warm_started) ++stats_.warm_started;
   if (result.feasible) return result.frequencies;
 
-  // Demand exceeds what this state can safely serve: run the highest safe
-  // throughput instead (the online analog of the table's column fallback).
+  // Demand exceeds what this state can safely serve: the solve already
+  // carries the highest safe throughput (the online analog of the table's
+  // column fallback), or nothing when no frequency is safe.
   ++stats_.infeasible;
-  const auto best =
-      optimizer_->max_supported_frequency_from_state(t0, &workspace_);
-  if (best) return best->frequencies;
+  if (result.throughput_fallback) return result.frequencies;
   return linalg::Vector(view.num_cores, 0.0);
 }
 

@@ -70,7 +70,8 @@ class OnlineProTempPolicy final : public sim::DfsPolicy {
  public:
   struct Stats {
     std::size_t windows = 0;
-    std::size_t infeasible = 0;    ///< fell back to all-cores-off
+    /// Demand not met: served the throughput fallback (or all cores off).
+    std::size_t infeasible = 0;
     std::size_t warm_started = 0;  ///< windows seeded from the previous one
     double solve_seconds = 0.0;    ///< cumulative optimizer time
   };

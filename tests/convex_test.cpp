@@ -284,6 +284,71 @@ TEST(Barrier, StageCapHitsAreCounted) {
   EXPECT_EQ(ws.stats().stages_fixed_point, 0u);
 }
 
+/// Wraps a function and counts value() calls: the barrier evaluates the
+/// objective once per barrier-value pass.
+class CountingFunction final : public ScalarFunction {
+ public:
+  explicit CountingFunction(std::shared_ptr<const ScalarFunction> inner)
+      : inner_(std::move(inner)) {}
+  std::size_t dimension() const noexcept override {
+    return inner_->dimension();
+  }
+  double value(const Vector& x) const override {
+    ++calls_;
+    return inner_->value(x);
+  }
+  Vector gradient(const Vector& x) const override {
+    return inner_->gradient(x);
+  }
+  Matrix hessian(const Vector& x) const override {
+    return inner_->hessian(x);
+  }
+  std::size_t calls() const noexcept { return calls_; }
+
+ private:
+  std::shared_ptr<const ScalarFunction> inner_;
+  mutable std::size_t calls_ = 0;
+};
+
+/// Solves `problem` from x0 with a counting objective and checks that the
+/// barrier value was computed once per stage and once per line-search
+/// trial: every later Newton step reuses its accepted trial's evaluation.
+void expect_trial_reuse(BarrierProblem problem, const Vector& x0,
+                        const BarrierOptions& options) {
+  auto counting = std::make_shared<CountingFunction>(problem.objective);
+  problem.objective = counting;
+  SolverWorkspace ws;
+  const Solution sol = solve_barrier(problem, x0, options, &ws);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  const SolverWorkspace::Stats& stats = ws.stats();
+  // +1: the final objective value of the solution.
+  EXPECT_EQ(counting->calls(), stats.stages + stats.line_search_trials + 1);
+  EXPECT_GT(stats.newton_steps, stats.stages);  // some steps reused a trial
+}
+
+TEST(Barrier, AcceptedTrialIsReusedOnThePaperProgram) {
+  const arch::Platform platform = arch::make_niagara_platform();
+  const core::ProTempOptimizer optimizer(platform, core::ProTempConfig{});
+  Vector core_watts(platform.num_cores(), 0.4 * platform.core_pmax());
+  const Vector state =
+      platform.network().steady_state(platform.full_power(core_watts, 0.4));
+  const double ftarget = 0.5 * platform.fmax();
+  SolverWorkspace ws;
+  ASSERT_TRUE(optimizer.solve_from_state(state, ftarget, &ws).feasible);
+  const BarrierProblem problem = optimizer.program_from_state(state, ftarget);
+  ASSERT_EQ(problem.constraints.size(), 1u);  // the workload constraint
+  expect_trial_reuse(problem, *ws.hint(SolverWorkspace::kMain),
+                     optimizer.warm_options());
+}
+
+TEST(Barrier, AcceptedTrialIsReusedWithANonlinearConstraint) {
+  BarrierProblem problem;
+  problem.objective = affine(Vector{-1.0, -2.0}, 0.0);
+  problem.constraints.push_back(std::make_shared<DiskConstraint>(1.0));
+  problem.linear = LinearConstraints{Matrix{{1.0, 1.0}}, Vector{1.2}};
+  expect_trial_reuse(problem, Vector{0.0, 0.0}, BarrierOptions{});
+}
+
 // ------------------------------------------------------------------ phase I --
 
 TEST(PhaseI, FindsInteriorPoint) {

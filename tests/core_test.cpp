@@ -3,11 +3,16 @@
 // is verified by simulating the optimizer's own assignments against the
 // discrete thermal model.
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/registry.hpp"
 #include "arch/niagara.hpp"
+#include "convex/barrier.hpp"
 #include "core/frequency_table.hpp"
 #include "core/optimizer.hpp"
 #include "core/policies.hpp"
@@ -308,6 +313,134 @@ TEST(Optimizer, ConfigValidation) {
   EXPECT_THROW(ProTempOptimizer(niagara(), bad3), std::invalid_argument);
 }
 
+// -------------------------------------------------------- infeasible windows --
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A measured-like overload state: every sensor between `hottest - 6` and
+/// `hottest` degC (cores hottest), package nodes at the hottest reading as
+/// OnlineProTempPolicy fills them.
+Vector measured_like_state(const arch::Platform& platform, double hottest) {
+  Vector t0(platform.num_nodes(), hottest);
+  const std::size_t blocks = platform.floorplan().size();
+  for (std::size_t b = 0; b < blocks; ++b) {
+    t0[b] = hottest - 6.0 + 6.0 * static_cast<double>((b * 5) % 7) / 6.0;
+  }
+  return t0;
+}
+
+TEST(InfeasibleWindow, FloorCertificateAgreesWithPhaseI) {
+  // Every registered platform family, on uniform and per-node states from
+  // comfortably feasible to far too hot: the sigma_floor certificate holds
+  // exactly when phase-I finds no strictly feasible point.
+  for (const std::string name :
+       {"niagara8", "mesh:2x3", "het:niagara8@4xbig+4xlittle",
+        "stack:2x2+2dram"}) {
+    const api::StatusOr<arch::Platform> platform = api::make_platform(name);
+    ASSERT_TRUE(platform.ok()) << platform.status().to_string();
+    const ProTempOptimizer opt(*platform, fast_config(/*gradient=*/true));
+    std::size_t certified = 0;
+    std::size_t states = 0;
+    for (double hottest = 60.0; hottest <= 150.0; hottest += 7.5) {
+      for (const Vector& t0 :
+           {Vector(platform->num_nodes(), hottest),
+            measured_like_state(*platform, hottest)}) {
+        const convex::BarrierProblem program = opt.program_from_state(t0, 0.0);
+        convex::BarrierProblem probe;
+        probe.objective = std::make_shared<convex::AffineFunction>(
+            Vector(program.num_variables()), 0.0);
+        probe.linear = program.linear;
+        const Vector x0(program.num_variables(), 0.5);
+        const bool phase1_found =
+            convex::find_strictly_feasible(probe, x0, 1e-12).has_value();
+        const bool certificate = opt.thermal_rows_infeasible(t0);
+        EXPECT_EQ(certificate, !phase1_found)
+            << name << " hottest=" << hottest;
+        if (certificate) ++certified;
+        ++states;
+      }
+    }
+    // The grid spans both outcomes.
+    EXPECT_GT(certified, 0u) << name;
+    EXPECT_LT(certified, states) << name;
+  }
+}
+
+TEST(InfeasibleWindow, CertifiedStateRunsNoNewtonStep) {
+  const ProTempOptimizer opt(niagara(), fast_config(/*gradient=*/true));
+  const Vector t0(niagara().num_nodes(), 130.0);
+  ASSERT_TRUE(opt.thermal_rows_infeasible(t0));
+  convex::SolverWorkspace ws;
+  const FrequencyAssignment result = opt.solve_from_state(t0, mhz(500.0), &ws);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_FALSE(result.throughput_fallback);
+  EXPECT_TRUE(result.frequencies.empty());
+  EXPECT_EQ(ws.stats().solves, 0u);
+  EXPECT_EQ(result.newton_iterations, 0u);
+}
+
+TEST(InfeasibleWindow, PhaseIStepsAreCounted) {
+  // A power budget between the sigma_floor point's power and the probe
+  // point's (sigma = 1e-8) leaves only the thin band phase-I exists for.
+  ProTempConfig config = fast_config();
+  config.power_budget_watts =
+      3e-9 * niagara().core_pmax() * static_cast<double>(niagara().num_cores());
+  const ProTempOptimizer opt(niagara(), config);
+  const Vector t0(niagara().num_nodes(), 60.0);
+  ASSERT_FALSE(opt.thermal_rows_infeasible(t0));
+  convex::SolverWorkspace ws;
+  const FrequencyAssignment result = opt.solve_from_state(t0, 0.0, &ws);
+  ASSERT_TRUE(result.feasible) << to_string(result.status);
+  EXPECT_EQ(ws.stats().solves, 2u);  // phase-I, then the main solve
+  EXPECT_EQ(result.newton_iterations, ws.stats().newton_steps);
+}
+
+TEST(InfeasibleWindow, FallbackIsBitwiseTheThroughputSolve) {
+  // Overload states: the fallback solve_from_state carries must be exactly
+  // what max_supported_frequency_from_state returns from the same
+  // workspace, cold and warm, and leave the same kThroughput hint.
+  for (const std::string name : {"niagara8", "het:niagara8@4xbig+4xlittle"}) {
+    const api::StatusOr<arch::Platform> platform = api::make_platform(name);
+    ASSERT_TRUE(platform.ok()) << platform.status().to_string();
+    const ProTempOptimizer opt(*platform, fast_config(/*gradient=*/true));
+    std::vector<Vector> states;
+    for (const double hottest : {85.0, 90.0, 95.0, 99.0}) {
+      states.push_back(Vector(platform->num_nodes(), hottest));
+      states.push_back(measured_like_state(*platform, hottest));
+    }
+    // Carries hints from window to window, seeded by a feasible cool window
+    // (which leaves both a kMain and a kThroughput hint).
+    convex::SolverWorkspace warm;
+    ASSERT_TRUE(opt.solve_from_state(Vector(platform->num_nodes(), 60.0),
+                                     0.5 * platform->fmax(), &warm)
+                    .feasible);
+    for (const bool cold : {true, false}) {
+      for (const Vector& t0 : states) {
+        convex::SolverWorkspace base = cold ? convex::SolverWorkspace{} : warm;
+        convex::SolverWorkspace a = base;
+        convex::SolverWorkspace b = base;
+        const FrequencyAssignment result =
+            opt.solve_from_state(t0, 0.98 * platform->fmax(), &a);
+        const auto reference = opt.max_supported_frequency_from_state(t0, &b);
+        ASSERT_FALSE(result.feasible) << name;
+        ASSERT_TRUE(reference.has_value()) << name;
+        ASSERT_TRUE(result.throughput_fallback) << name;
+        EXPECT_TRUE(same_bits(result.frequencies, reference->frequencies))
+            << name << " t0[0]=" << t0[0] << " cold=" << cold;
+        EXPECT_EQ(result.average_frequency, reference->average_frequency);
+        const Vector* hint_a = a.hint(convex::SolverWorkspace::kThroughput);
+        const Vector* hint_b = b.hint(convex::SolverWorkspace::kThroughput);
+        ASSERT_TRUE(hint_a != nullptr && hint_b != nullptr);
+        EXPECT_TRUE(same_bits(*hint_a, *hint_b));
+        if (!cold) warm = a;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------- guarantee property sweep --
 
 struct GuaranteeCase {
@@ -526,6 +659,50 @@ TEST(Policies, ProTempNamesAndReset) {
   EXPECT_EQ(no_tc.name(), "no-tc");
   BasicDfsPolicy basic;
   EXPECT_EQ(basic.name(), "basic-dfs");
+}
+
+TEST(Policies, OnlineInfeasibleWindowRunsOneSolve) {
+  // Overload: full demand from 95 degC cannot be met. Each window decides
+  // with one barrier solve (the throughput lift, whose optimum is served)
+  // and serves a nonzero command.
+  auto opt = std::make_shared<const ProTempOptimizer>(
+      niagara(), fast_config(/*gradient=*/true));
+  OnlineProTempPolicy policy(opt);
+  policy.reset();
+  for (int window = 0; window < 4; ++window) {
+    const std::size_t solves = policy.workspace().stats().solves;
+    const std::size_t infeasible = policy.stats().infeasible;
+    const Vector f = policy.on_window(make_view(95.0, 10.0));
+    EXPECT_EQ(policy.stats().infeasible, infeasible + 1);
+    EXPECT_EQ(policy.workspace().stats().solves, solves + 1)
+        << "window " << window;
+    EXPECT_GT(f.sum(), 0.0);
+  }
+}
+
+TEST(Policies, BudgetedInfeasibleWindowServesTheLiftIncumbent) {
+  // With a Newton budget, the throughput lift expires; its incumbent is
+  // served at once (no warm fallback, no cold retry) and is thermally safe.
+  ProTempConfig config = fast_config(/*gradient=*/true);
+  config.solver.max_newton_total = 4;
+  auto opt = std::make_shared<const ProTempOptimizer>(niagara(), config);
+  const FrequencyAssignment direct = opt->solve_from_state(
+      Vector(niagara().num_nodes(), 95.0), niagara().fmax());
+  EXPECT_FALSE(direct.feasible);
+  EXPECT_TRUE(direct.throughput_fallback);
+  EXPECT_EQ(direct.status, convex::SolveStatus::kBudgetExpired);
+
+  OnlineProTempPolicy policy(opt);
+  policy.reset();
+  for (int window = 0; window < 3; ++window) {
+    const std::size_t solves = policy.workspace().stats().solves;
+    const Vector f = policy.on_window(make_view(95.0, 10.0));
+    EXPECT_EQ(policy.workspace().stats().solves, solves + 1);
+    EXPECT_GT(f.sum(), 0.0);
+    EXPECT_LE(simulate_window_max_temp(niagara(), config, 95.0, f),
+              config.tmax + 1e-4);
+  }
+  EXPECT_EQ(policy.workspace().stats().budget_expired, 3u);
 }
 
 }  // namespace
